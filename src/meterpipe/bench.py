@@ -17,7 +17,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
     DataError,
@@ -26,6 +26,7 @@ from .core import (
     decimal_mul,
     format_decimal,
     parse_decimal,
+    read_config,
     run_tool,
 )
 from .generator import GeneratorConfig, MASTER_FILENAME, generate_corpus
@@ -148,20 +149,7 @@ class BenchConfig:
 
 
 def load_bench_config(path):
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
-
+    values = read_config(path, {f.name for f in fields(BenchConfig)})
     config = BenchConfig()
     try:
         if "file_counts" in values:

@@ -1,4 +1,4 @@
-"""Shared record/field model, exact decimal values, and the CLI contract.
+"""Shared field model, exact decimal values, and the stream-tool CLI contract.
 
 Every tool in the suite reads whitespace-separated text rows from named
 files or stdin, writes rows to stdout and diagnostics to stderr, and
@@ -10,6 +10,7 @@ dataclasses.
 """
 
 import io
+import os
 import re
 import sys
 
@@ -36,31 +37,6 @@ _FIELD_SEP = re.compile(r"[ \t]+")
 def split_fields(line):
     """Split a line into fields on runs of ASCII space and tab."""
     return [tok for tok in _FIELD_SEP.split(line) if tok]
-
-
-class Record:
-    """One text row: the raw line plus its whitespace-separated fields."""
-
-    __slots__ = ("raw_line", "fields")
-
-    def __init__(self, raw_line, fields):
-        self.raw_line = raw_line
-        self.fields = fields
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Record)
-            and self.raw_line == other.raw_line
-            and self.fields == other.fields
-        )
-
-    def __repr__(self):
-        return f"Record({self.raw_line!r}, {self.fields!r})"
-
-
-def split_record(line):
-    """Build a Record from one line (no trailing newline)."""
-    return Record(line, tuple(split_fields(line)))
 
 
 ABSOLUTE = "absolute"
@@ -202,6 +178,34 @@ def decimal_mul(a, b):
     )
 
 
+# --- config files -----------------------------------------------------------
+
+
+def read_config(path, keys):
+    """Read a flat key=value file (``#`` comments, blank lines) into a dict.
+
+    A key outside ``keys`` is a UsageError naming it and ``path:line``, so a
+    misspelt setting fails instead of silently leaving its default in place.
+    """
+    values = {}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, eq, value = line.partition("=")
+                key = key.strip()
+                if not eq:
+                    raise UsageError(f"{path}:{lineno}: expected key=value")
+                if key not in keys:
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value.strip()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    return values
+
+
 # --- stream I/O -------------------------------------------------------------
 
 # Tool input/output is UTF-8 with LF row separators.  surrogateescape keeps
@@ -209,18 +213,19 @@ def decimal_mul(a, b):
 _TEXT_KW = dict(encoding="utf-8", errors="surrogateescape", newline="\n")
 
 
+def open_text(file, mode="r"):
+    """Open a path or a file descriptor as a tool text stream."""
+    return open(file, mode, **_TEXT_KW)
+
+
 def open_text_input(path):
-    """Open a named file, or stdin for ``-``/None, as a UTF-8 text stream."""
-    if path is None or path == "-":
+    """Open a named file, or stdin for ``-``, as a tool text stream."""
+    if path == "-":
         return io.TextIOWrapper(sys.stdin.buffer, **_TEXT_KW)
     try:
-        return open(path, "r", **_TEXT_KW)
+        return open_text(path)
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
-
-
-def text_stdout():
-    return io.TextIOWrapper(sys.stdout.buffer, write_through=False, **_TEXT_KW)
 
 
 def read_rows(stream):
@@ -233,8 +238,34 @@ def read_rows(stream):
         yield line
 
 
-def wants_help(argv):
-    return any(arg in ("-h", "--help") for arg in argv)
+def input_rows(path):
+    """The rows of a named file, or of stdin for ``-``."""
+    with open_text_input(path) as stream:
+        yield from read_rows(stream)
+
+
+def row_bytes(text):
+    """The bytes a row or field was read from, for bytewise ordering."""
+    return text.encode(_TEXT_KW["encoding"], _TEXT_KW["errors"])
+
+
+def scratch_file():
+    """An anonymous read/write text file for spills and spools, in
+    ``$METERPIPE_TMPDIR`` if set, else the system temporary directory."""
+    import tempfile  # only tools that spill pay for the import
+
+    return tempfile.TemporaryFile(
+        "w+", dir=os.environ.get("METERPIPE_TMPDIR") or None, **_TEXT_KW
+    )
+
+
+def text_stdout():
+    """``sys.stdout``, set up as a block-buffered tool text stream."""
+    sys.stdout.reconfigure(line_buffering=False, write_through=False, **_TEXT_KW)
+    return sys.stdout
+
+
+# --- the stream-tool CLI contract -------------------------------------------
 
 
 def run_tool(prog, body):
@@ -255,3 +286,56 @@ def run_tool(prog, body):
             pass
         return EXIT_OK
     return EXIT_OK
+
+
+def optional_file(args, usage):
+    """The input file named by the one optional trailing argument; ``-``
+    (stdin) when there is none."""
+    if len(args) > 1:
+        raise UsageError(f"unexpected argument {args[1]!r}\n{usage}")
+    return args[0] if args else "-"
+
+
+def _split_options(argv, names, usage):
+    """Separate the named ``--name v`` / ``--name=v`` options from the
+    positional arguments."""
+    args, opts = [], {}
+    rest = iter(argv)
+    for arg in rest:
+        name, eq, value = arg[2:].partition("=")
+        if not arg.startswith("--") or name not in names:
+            args.append(arg)
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError(f"--{name} needs a value\n{usage}")
+        opts[name] = value
+    return args, opts
+
+
+def stream_tool(prog, usage, argv, rows_of, options=()):
+    """Run one stream tool under the CLI contract; returns the exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  ``-h`` or ``--help`` prints the
+    usage only as the first argument; anywhere else it is data.  Each name
+    in ``options`` is taken as ``--name v`` or ``--name=v``.  ``rows_of``
+    gets the positional arguments, plus the options given as keywords, and
+    returns the rows, which go to a buffered stdout flushed at the end.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in ("-h", "--help"):
+        print(usage)
+        return EXIT_OK
+
+    def body():
+        args, opts = _split_options(argv, options, usage)
+        out = text_stdout()
+        write = out.write
+        try:
+            for row in rows_of(args, **opts):
+                write(row + "\n")
+        finally:
+            out.flush()
+
+    return run_tool(prog, body)

@@ -5,20 +5,18 @@ stdout; non-matching rows pass through verbatim to a reject target (a file
 path or an inherited file descriptor, mirroring shell ``3>`` redirection).
 """
 
-import os
 import sys
 
 from .core import (
     DataError,
     UsageError,
-    open_text_input,
+    input_rows,
+    open_text,
+    optional_file,
     parse_fieldspec,
-    read_rows,
     resolve_field,
-    run_tool,
     split_fields,
-    text_stdout,
-    wants_help,
+    stream_tool,
 )
 
 
@@ -71,76 +69,59 @@ def hash_join(key_spec, master, rows):
 
 
 def _open_reject(target):
-    if target is None:
-        return None
     if target.startswith("&"):
         try:
             fd = int(target[1:])
         except ValueError:
             raise UsageError(f"bad reject target {target!r}: expected &N or a path")
         try:
-            return os.fdopen(
-                fd, "w", encoding="utf-8", errors="surrogateescape", newline="\n"
-            )
+            return open_text(fd, "w")
         except OSError as exc:
             raise UsageError(f"reject descriptor {fd} is not open: {exc}") from exc
     try:
-        return open(target, "w", encoding="utf-8", errors="surrogateescape", newline="\n")
+        return open_text(target, "w")
     except OSError as exc:
         raise UsageError(f"cannot open reject file {target}: {exc.strerror}") from exc
 
 
+def _split_matches(joined, reject):
+    """Yield the matched rows; send the rest to ``reject``, or count them
+    and warn on stderr when there is no reject target."""
+    dropped = 0
+    try:
+        for matched, line in joined:
+            if matched:
+                yield line
+            elif reject is not None:
+                reject.write(line + "\n")
+            else:
+                dropped += 1
+    finally:
+        if reject is not None:
+            reject.close()
+    if dropped:
+        print(
+            f"cjoin1: warning: {dropped} unmatched row(s) discarded "
+            "(no --reject target)",
+            file=sys.stderr,
+        )
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: cjoin1 [--reject <path|&N>] key=<spec> <masterfile> [txnfile|-]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        rest = list(argv)
-        reject_target = None
-        if rest and rest[0] == "--reject":
-            if len(rest) < 2:
-                raise UsageError(f"--reject needs a value\n{usage}")
-            reject_target = rest[1]
-            rest = rest[2:]
-        elif rest and rest[0].startswith("--reject="):
-            reject_target = rest[0].split("=", 1)[1]
-            rest = rest[1:]
-        if len(rest) < 2 or len(rest) > 3:
+    def rows(args, reject=None):
+        if len(args) < 2:
             raise UsageError(usage)
-        if not rest[0].startswith("key="):
-            raise UsageError(f"expected key=<spec>, got {rest[0]!r}")
-        key_spec = parse_fieldspec(rest[0][4:])
-        masterfile = rest[1]
-        txnfile = rest[2] if len(rest) == 3 else "-"
-        with open_text_input(masterfile) as mf:
-            master = load_master(read_rows(mf))
-        reject = _open_reject(reject_target)
-        out = text_stdout()
-        dropped = 0
-        try:
-            with open_text_input(txnfile) as txn:
-                for matched, line in hash_join(key_spec, master, read_rows(txn)):
-                    if matched:
-                        out.write(line + "\n")
-                    elif reject is not None:
-                        reject.write(line + "\n")
-                    else:
-                        dropped += 1
-        finally:
-            out.flush()
-            if reject is not None:
-                reject.close()
-        if dropped:
-            print(
-                f"cjoin1: warning: {dropped} unmatched row(s) discarded "
-                "(no --reject target)",
-                file=sys.stderr,
-            )
+        if not args[0].startswith("key="):
+            raise UsageError(f"expected key=<spec>, got {args[0]!r}")
+        key_spec = parse_fieldspec(args[0][4:])
+        txn = input_rows(optional_file(args[2:], usage))
+        master = load_master(input_rows(args[1]))
+        reject_file = None if reject is None else _open_reject(reject)
+        return _split_matches(hash_join(key_spec, master, txn), reject_file)
 
-    return run_tool("cjoin1", body)
+    return stream_tool("cjoin1", usage, argv, rows, options=("reject",))
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core import DataError, UsageError, run_tool
+from .core import DataError, UsageError, input_rows, read_config, run_tool
 from .generator import GeneratorConfig, generate_corpus
 
 ELEMENT_PATH = "/MeterReadings/MeterReading"
@@ -46,11 +46,9 @@ class PipelineConfig:
             raise UsageError("pipeline paths must all be distinct")
         if not os.path.isfile(self.master_path):
             raise UsageError(f"master file not found: {self.master_path}")
-        from .core import open_text_input, read_rows
         from .join import load_master
 
-        with open_text_input(self.master_path) as f:
-            load_master(read_rows(f))
+        load_master(input_rows(self.master_path))
 
     def for_batch(self, batch):
         return PipelineConfig(
@@ -80,34 +78,12 @@ class PipelineConfig:
 
 def load_config(path):
     """Read a flat key=value config file into a validated PipelineConfig."""
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
-
+    values = read_config(path, {f.name for f in fields(PipelineConfig)})
     missing = [k for k in (*_DIR_KEYS, "master_path") if k not in values]
     if missing:
         raise UsageError(f"config {path} is missing: {', '.join(missing)}")
-    batch_dirs = None
-    if values.get("batch_dirs"):
-        batch_dirs = [b for b in values["batch_dirs"].split(",") if b]
-    config = PipelineConfig(
-        readings_dir=values["readings_dir"],
-        parsed_dir=values["parsed_dir"],
-        valid_dir=values["valid_dir"],
-        corrected_dir=values["corrected_dir"],
-        master_path=values["master_path"],
-        batch_dirs=batch_dirs,
-    )
+    batch_dirs = [b for b in values.pop("batch_dirs", "").split(",") if b]
+    config = PipelineConfig(**values, batch_dirs=batch_dirs or None)
     config.validate()
     return config
 

@@ -2,8 +2,6 @@
 grouped summation over consecutive runs of identical keys."""
 
 import heapq
-import io
-import os
 import sys
 
 from .core import (
@@ -11,37 +9,34 @@ from .core import (
     UsageError,
     decimal_add,
     format_decimal,
-    open_text_input,
+    input_rows,
+    optional_file,
     parse_decimal,
     parse_fieldspec,
-    read_rows,
     resolve_field,
-    run_tool,
+    row_bytes,
+    scratch_file,
     split_fields,
-    text_stdout,
-    wants_help,
+    stream_tool,
 )
 
 DEFAULT_MEM_BYTES = 256 * 1024 * 1024
-SPILL_DIR_ENV = "METERPIPE_TMPDIR"
 
 
 def _key_of(spec, line, lineno):
     fields = split_fields(line)
     pos = resolve_field(spec, len(fields), lineno)
-    # Compare as UTF-8 bytes so ordering is bytewise regardless of content.
-    return fields[pos - 1].encode("utf-8", "surrogateescape")
+    # Compare as bytes so ordering is bytewise regardless of content.
+    return row_bytes(fields[pos - 1])
 
 
-def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES, spill_dir=None):
+def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES):
     """Yield rows ordered by the key field, bytewise and stable.
 
     Runs of at most ``mem_bytes`` of line text are sorted in memory and
     spilled to temporary files; spilled runs are merged lazily, so inputs
     larger than memory are fine.
     """
-    if spill_dir is None:
-        spill_dir = os.environ.get(SPILL_DIR_ENV) or None
     run = []
     run_bytes = 0
     spills = []
@@ -50,7 +45,7 @@ def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES, spill_dir=None)
             run.append((_key_of(key_spec, line, lineno), line))
             run_bytes += len(line)
             if run_bytes >= mem_bytes:
-                spills.append(_spill(run, spill_dir))
+                spills.append(_spill(run))
                 run = []
                 run_bytes = 0
         run.sort(key=_first)
@@ -74,25 +69,21 @@ def _first(item):
     return item[0]
 
 
-def _spill(run, spill_dir):
-    import tempfile
-
+def _spill(run):
     run.sort(key=_first)
-    f = tempfile.TemporaryFile("w+b", dir=spill_dir)
-    out = io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline="\n")
+    f = scratch_file()
     for _, line in run:
-        out.write(line + "\n")
-    out.detach()
+        f.write(line + "\n")
     f.seek(0)
     return f
 
 
 def _read_run(f, key_spec):
-    text = io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline="\n")
-    for line in text:
-        line = line[:-1] if line.endswith("\n") else line
+    for line in f:
+        # Drop only the LF the spill wrote: a CR left at the end of a row
+        # belongs to the row (read_rows would strip it).
+        line = line[:-1]
         yield _key_of(key_spec, line, None), line
-    text.detach()
 
 
 def sum_groups(k_from, k_to, v_from, v_to, rows):
@@ -127,71 +118,44 @@ def _group_row(key, totals):
 
 
 def msort_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: msort key=<spec> [--mem <bytes>] [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        rest = list(argv)
-        if not rest or not rest[0].startswith("key="):
+    def rows(args, mem=None):
+        if not args or not args[0].startswith("key="):
             raise UsageError(f"expected key=<spec>\n{usage}")
-        key_spec = parse_fieldspec(rest[0][4:])
-        rest = rest[1:]
-        mem = DEFAULT_MEM_BYTES
-        if rest and rest[0] == "--mem":
-            if len(rest) < 2:
-                raise UsageError(f"--mem needs a value\n{usage}")
-            rest, raw = rest[2:], rest[1]
+        key_spec = parse_fieldspec(args[0][4:])
+        mem_bytes = DEFAULT_MEM_BYTES
+        if mem is not None:
             try:
-                mem = int(raw)
+                mem_bytes = int(mem)
             except ValueError:
-                raise UsageError(f"bad --mem value {raw!r}") from None
-            if mem < 1:
+                raise UsageError(f"bad --mem value {mem!r}") from None
+            if mem_bytes < 1:
                 raise UsageError("--mem must be positive")
-        if len(rest) > 1:
-            raise UsageError(usage)
-        path = rest[0] if rest else "-"
-        out = text_stdout()
-        with open_text_input(path) as stream:
-            try:
-                for line in merge_sort_rows(key_spec, read_rows(stream), mem):
-                    out.write(line + "\n")
-            finally:
-                out.flush()
+        path = optional_file(args[1:], usage)
+        return merge_sort_rows(key_spec, input_rows(path), mem_bytes)
 
-    return run_tool("msort", body)
+    return stream_tool("msort", usage, argv, rows, options=("mem",))
 
 
 def sm2_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: sm2 <k_from> <k_to> <v_from> <v_to> [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        if len(argv) < 4 or len(argv) > 5:
+    def rows(args):
+        if len(args) < 4:
             raise UsageError(usage)
         try:
-            k_from, k_to, v_from, v_to = (int(a) for a in argv[:4])
+            k_from, k_to, v_from, v_to = (int(a) for a in args[:4])
         except ValueError:
             raise UsageError(f"field positions must be integers\n{usage}") from None
         if not (1 <= k_from <= k_to < v_from <= v_to):
             raise UsageError(
                 "field ranges must satisfy 1 <= k_from <= k_to < v_from <= v_to"
             )
-        path = argv[4] if len(argv) == 5 else "-"
-        out = text_stdout()
-        with open_text_input(path) as stream:
-            try:
-                for line in sum_groups(k_from, k_to, v_from, v_to, read_rows(stream)):
-                    out.write(line + "\n")
-            finally:
-                out.flush()
+        path = optional_file(args[4:], usage)
+        return sum_groups(k_from, k_to, v_from, v_to, input_rows(path))
 
-    return run_tool("sm2", body)
+    return stream_tool("sm2", usage, argv, rows)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,20 @@
 """Row and column stream operators: self, delf, delr, filter-tags,
 group-number and map (the key/label/value pivot)."""
 
-import io
-import os
 import sys
 
 from .core import (
     DataError,
     UsageError,
+    input_rows,
     open_text_input,
+    optional_file,
     parse_fieldspec,
     read_rows,
     resolve_field,
-    run_tool,
+    scratch_file,
     split_fields,
-    text_stdout,
-    wants_help,
+    stream_tool,
 )
 
 DEFAULT_TAGS = ("name", "timeStamp", "value", "ref")
@@ -146,53 +145,23 @@ def pivot(cell_rows):
 
 
 # --- CLI wrappers -----------------------------------------------------------
-#
-# Argument grammars here are tiny and these tools start once per pipeline
-# stage, so argv is parsed by hand to keep startup cheap.
-
-
-def _write_all(rows, out):
-    try:
-        for row in rows:
-            out.write(row + "\n")
-    finally:
-        out.flush()
-
-
-def _one_optional_file(rest, usage):
-    if len(rest) > 1:
-        raise UsageError(f"unexpected argument {rest[1]!r}\n{usage}")
-    return rest[0] if rest else "-"
-
-
-def _specs_and_file(argv, usage):
-    """Split argv into leading field specs and an optional trailing file."""
-    specs = []
-    i = 0
-    while i < len(argv):
-        try:
-            specs.append(parse_fieldspec(argv[i]))
-        except UsageError:
-            break
-        i += 1
-    if not specs:
-        raise UsageError(f"at least one field spec (N, NF or NF-k) is required\n{usage}")
-    return specs, _one_optional_file(argv[i:], usage)
 
 
 def _spec_tool_main(prog, transform, argv):
-    argv = sys.argv[1:] if argv is None else argv
     usage = f"usage: {prog} <spec>... [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        specs, path = _specs_and_file(argv, usage)
-        with open_text_input(path) as stream:
-            _write_all(transform(specs, read_rows(stream)), text_stdout())
+    def rows(args):
+        specs = []
+        for arg in args:  # leading field specs, then an optional file
+            try:
+                specs.append(parse_fieldspec(arg))
+            except UsageError:
+                break
+        if not specs:
+            raise UsageError(f"at least one field spec (N, NF or NF-k) is required\n{usage}")
+        return transform(specs, input_rows(optional_file(args[len(specs) :], usage)))
 
-    return run_tool(prog, body)
+    return stream_tool(prog, usage, argv, rows)
 
 
 def self_main(argv=None):
@@ -204,118 +173,64 @@ def delf_main(argv=None):
 
 
 def delr_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: delr <spec> <literal> [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        if len(argv) < 2:
+    def rows(args):
+        if len(args) < 2:
             raise UsageError(usage)
-        spec = parse_fieldspec(argv[0])
-        literal = argv[1]
-        path = _one_optional_file(argv[2:], usage)
-        with open_text_input(path) as stream:
-            _write_all(delete_rows(spec, literal, read_rows(stream)), text_stdout())
+        spec = parse_fieldspec(args[0])
+        return delete_rows(spec, args[1], input_rows(optional_file(args[2:], usage)))
 
-    return run_tool("delr", body)
+    return stream_tool("delr", usage, argv, rows)
 
 
 def filter_tags_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: filter-tags [--allow a,b,...] [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        allow = ",".join(DEFAULT_TAGS)
-        rest = list(argv)
-        if rest and rest[0] == "--allow":
-            if len(rest) < 2:
-                raise UsageError(f"--allow needs a value\n{usage}")
-            allow = rest[1]
-            rest = rest[2:]
-        elif rest and rest[0].startswith("--allow="):
-            allow = rest[0].split("=", 1)[1]
-            rest = rest[1:]
+    def rows(args, allow=",".join(DEFAULT_TAGS)):
         allowed = frozenset(t for t in allow.split(",") if t)
-        path = _one_optional_file(rest, usage)
-        with open_text_input(path) as stream:
-            _write_all(filter_tags(allowed, read_rows(stream)), text_stdout())
+        return filter_tags(allowed, input_rows(optional_file(args, usage)))
 
-    return run_tool("filter-tags", body)
+    return stream_tool("filter-tags", usage, argv, rows, options=("allow",))
 
 
 def group_number_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: group-number [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        path = _one_optional_file(argv, usage)
-        with open_text_input(path) as stream:
-            _write_all(group_number(read_rows(stream)), text_stdout())
+    def rows(args):
+        return group_number(input_rows(optional_file(args, usage)))
 
-    return run_tool("group-number", body)
+    return stream_tool("group-number", usage, argv, rows)
 
 
 def map_main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: map num=1 [file]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        if not argv or not argv[0].startswith("num="):
+    def rows(args):
+        if not args or not args[0].startswith("num="):
             raise UsageError(f"expected num=<k>\n{usage}")
-        if argv[0] != "num=1":
+        if args[0] != "num=1":
             raise UsageError("only num=1 is supported")
-        path = _one_optional_file(argv[1:], usage)
-        out = text_stdout()
-        try:
-            if path == "-":
-                _pivot_stdin(out)
-            else:
-                with open_text_input(path) as one:
-                    labels = collect_labels(read_rows(one))
-                with open_text_input(path) as two:
-                    for row in emit_pivot(read_rows(two), labels):
-                        out.write(row + "\n")
-        finally:
-            out.flush()
+        return _pivot_file(optional_file(args[1:], usage))
 
-    return run_tool("map", body)
+    return stream_tool("map", usage, argv, rows)
 
 
-def _pivot_stdin(out):
-    # Two passes are needed for the global label set; spool the pipe first.
-    import tempfile
-
-    spool_dir = os.environ.get("METERPIPE_TMPDIR") or None
-    with tempfile.TemporaryFile("w+b", dir=spool_dir) as spool:
-        while True:
-            chunk = sys.stdin.buffer.read(64 * 1024)
-            if not chunk:
-                break
-            spool.write(chunk)
-        spool.seek(0)
-        labels = collect_labels(read_rows(_text_view(spool)))
-        spool.seek(0)
-        for row in emit_pivot(read_rows(_text_view(spool)), labels):
-            out.write(row + "\n")
+def _pivot_file(path):
+    # Two passes are needed for the global label set, so a pipe is spooled
+    # to a scratch file first.
+    with _seekable_input(path) as f:
+        labels = collect_labels(read_rows(f))
+        f.seek(0)
+        yield from emit_pivot(read_rows(f), labels)
 
 
-def _text_view(binary):
-    """A text iterator over a binary file that leaves the file open."""
-    wrapper = io.TextIOWrapper(
-        binary, encoding="utf-8", errors="surrogateescape", newline="\n"
-    )
-    try:
-        yield from wrapper
-    finally:
-        wrapper.detach()
+def _seekable_input(path):
+    if path != "-":
+        return open_text_input(path)
+    spool = scratch_file()
+    import shutil  # already loaded by tempfile, which scratch_file imports
+
+    shutil.copyfileobj(sys.stdin.buffer, spool.buffer)
+    spool.seek(0)
+    return spool

@@ -13,7 +13,14 @@ produced by concatenating files; parser state resets at each new root.
 import sys
 from xml.parsers import expat
 
-from .core import DataError, UsageError, run_tool, text_stdout, wants_help
+from .core import (
+    DataError,
+    UsageError,
+    open_text_input,
+    optional_file,
+    stream_tool,
+    text_stdout,
+)
 
 _CHUNK_SIZE = 64 * 1024
 
@@ -217,38 +224,21 @@ def flatten_bytes(data, path):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     usage = "usage: xmldir <absolute-element-path> [file|-]"
-    if wants_help(argv):
-        print(usage)
-        return 0
 
-    def body():
-        if not argv or len(argv) > 2:
+    def rows(args):
+        if not args:
             raise UsageError(usage)
-        target = parse_element_path(argv[0])
-        path = argv[1] if len(argv) == 2 else "-"
-        if path == "-":
-            source = sys.stdin.buffer
-        else:
-            try:
-                source = open(path, "rb")
-            except OSError as exc:
-                raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
-        out = text_stdout()
-        write = out.write
-        try:
-            flatten_stream(
-                lambda: source.read(_CHUNK_SIZE),
-                target,
-                lambda row: write(row + "\n"),
-            )
-        finally:
-            out.flush()
-            if source is not sys.stdin.buffer:
-                source.close()
+        target = parse_element_path(args[0])
+        write = text_stdout().write
+        # expat pushes rows as it parses, so they are written here as they
+        # come; the bytes are read below the text layer.
+        with open_text_input(optional_file(args[1:], usage)) as source:
+            read = source.buffer.read
+            flatten_stream(lambda: read(_CHUNK_SIZE), target, lambda row: write(row + "\n"))
+        return ()
 
-    return run_tool("xmldir", body)
+    return stream_tool("xmldir", usage, argv, rows)
 
 
 if __name__ == "__main__":

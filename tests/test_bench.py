@@ -141,6 +141,12 @@ class TestBenchConfig:
         with pytest.raises(UsageError):
             load_bench_config(str(f))
 
+    def test_unknown_key_names_the_key_and_line(self, tmp_path):
+        f = tmp_path / "bench.cfg"
+        f.write_text("# quick run\nfile_counts=10\nrepetitons=5\n")
+        with pytest.raises(UsageError, match=f"{f}:3: unknown key 'repetitons'"):
+            load_bench_config(str(f))
+
 
 class TestRunBench:
     def test_tiny_run_produces_a_round_tripping_report(self, tmp_path):

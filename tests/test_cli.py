@@ -1,6 +1,9 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import (
     ELEMENT_PATH,
@@ -74,6 +77,11 @@ class TestRowToolsCli:
         proc = run_tool("delr", "2", "MeterID", stdin=b"name MeterID\nname SM1\n")
         assert lines(proc.stdout) == ["name SM1"]
 
+    def test_delr_takes_a_later_help_flag_as_data(self):
+        proc = run_tool("delr", "2", "-h", stdin=b"x -h\ny z\n")
+        assert proc.returncode == 0
+        assert lines(proc.stdout) == ["y z"]
+
     def test_filter_tags_custom_allow_list(self):
         proc = run_tool("filter-tags", "--allow", "aa,bb", stdin=b"aa 1\ncc 2\nbb 3\n")
         assert lines(proc.stdout) == ["aa 1", "bb 3"]
@@ -92,6 +100,11 @@ class TestRowToolsCli:
         f.write_bytes(b"1 name N\n1 value V\n2 name M\n")
         proc = run_tool("map", "num=1", str(f))
         assert lines(proc.stdout) == ["1 N V", "2 M 0"]
+
+    def test_map_data_error_on_stdin_is_one_line(self):
+        proc = run_tool("map", "num=1", stdin=b"1 a x\n1 a y\n")
+        assert proc.returncode == 2
+        assert proc.stderr == b"map: line 2: duplicate cell (1, a)\n"
 
     def test_map_rejects_other_key_counts(self):
         proc = run_tool("map", "num=2", stdin=b"")
@@ -186,6 +199,12 @@ class TestSortAggCli:
         keys = [l.split()[0] for l in lines(proc.stdout)]
         assert keys == sorted(keys)
 
+    def test_msort_takes_the_memory_budget_after_an_equals_sign(self):
+        rows = "".join(f"k{i % 7} row{i}\n" for i in range(500)).encode()
+        proc = run_tool("msort", "key=1", "--mem=64", stdin=rows)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_tool("msort", "key=1", stdin=rows).stdout
+
     def test_msort_spill_dir_env_is_honored(self, tmp_path):
         spill = tmp_path / "spills"
         spill.mkdir()
@@ -212,6 +231,47 @@ class TestSortAggCli:
         assert proc.returncode == 2
 
 
+# The arguments each stream tool needs before its optional input file.
+LEADING_ARGS = {
+    "xmldir": [ELEMENT_PATH],
+    "self": ["1"],
+    "delf": ["1"],
+    "delr": ["2", "x"],
+    "filter-tags": [],
+    "group-number": [],
+    "map": ["num=1"],
+    "cjoin1": ["key=2", "MASTER"],
+    "msort": ["key=1"],
+    "sm2": ["1", "1", "2", "2"],
+}
+
+
+class TestStreamToolContract:
+    @pytest.fixture
+    def leading(self, tmp_path):
+        master = tmp_path / "master"
+        master.write_text("\n".join(MASTER_ROWS) + "\n")
+        return lambda tool: [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
+
+    @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
+    def test_help_usage_errors_and_missing_input(self, tool, leading, tmp_path):
+        proc = run_tool(tool, "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(f"usage: {tool} ".encode())
+        assert proc.stderr == b""
+
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        proc = run_tool(tool, *leading(tool), str(empty), "extra")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{tool}: ".encode())
+        assert proc.stdout == b""
+
+        proc = run_tool(tool, *leading(tool), str(tmp_path / "missing"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{tool}: cannot open ".encode())
+
+
 class TestDispatcher:
     def test_unknown_tool(self):
         proc = subprocess.run(
@@ -220,6 +280,14 @@ class TestDispatcher:
         )
         assert proc.returncode == 1
         assert b"unknown tool" in proc.stderr
+
+    def test_console_scripts_match_the_dispatcher(self):
+        from meterpipe.__main__ import _TOOLS
+
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {name: f"{mod}:{fn}" for name, (mod, fn) in _TOOLS.items()}
 
     def test_lists_tools(self):
         proc = subprocess.run(

@@ -18,7 +18,6 @@ from meterpipe.core import (
     read_rows,
     resolve_field,
     split_fields,
-    split_record,
 )
 
 
@@ -28,17 +27,16 @@ class TestSplitRecord:
             "SM000000689VG 0.0.0.4.1.1.12.0.0.0.0.0.0.0.0.3.72.0 "
             "2021-01-01T12:40:06Z 14.8361"
         )
-        rec = split_record(line)
-        assert rec.raw_line == line
-        assert len(rec.fields) == 4
-        assert rec.fields[0] == "SM000000689VG"
-        assert rec.fields[3] == "14.8361"
+        fields = split_fields(line)
+        assert len(fields) == 4
+        assert fields[0] == "SM000000689VG"
+        assert fields[3] == "14.8361"
 
     def test_empty_line_has_zero_fields(self):
-        assert split_record("").fields == ()
+        assert split_fields("") == []
 
     def test_whitespace_runs_collapse(self):
-        assert split_record("a\t b  c").fields == ("a", "b", "c")
+        assert split_fields("a\t b  c") == ["a", "b", "c"]
 
     def test_only_space_and_tab_separate(self):
         # Other control characters are field content, not separators.
@@ -67,10 +65,10 @@ class TestFieldSpec:
         assert resolve_field(FieldSpec(END_RELATIVE, 0), 6) == 6
 
     def test_nf_minus_one_on_flat_name_row(self):
-        row = split_record("MeterReadings MeterReading Meter Names name SM000000001VG")
-        pos = resolve_field(FieldSpec(END_RELATIVE, 1), len(row.fields))
+        fields = split_fields("MeterReadings MeterReading Meter Names name SM000000001VG")
+        pos = resolve_field(FieldSpec(END_RELATIVE, 1), len(fields))
         assert pos == 5
-        assert row.fields[pos - 1] == "name"
+        assert fields[pos - 1] == "name"
 
     def test_out_of_range_is_data_error(self):
         with pytest.raises(DataError):

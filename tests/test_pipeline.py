@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(UsageError, match="master"):
             load_config(str(cfg_file))
 
+    def test_unknown_key_names_the_key_and_line(self, tmp_path, sample_dir):
+        readings, master = sample_dir
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(
+            f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+            f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+            f"master_path={master}\nbatch_dir=b00,b01\n"
+        )
+        with pytest.raises(UsageError, match=f"{cfg_file}:6: unknown key 'batch_dir'"):
+            load_config(str(cfg_file))
+
 
 class TestGoldenStages:
     def test_parse_validate_aggregate_on_the_reference_document(

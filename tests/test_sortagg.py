@@ -59,6 +59,12 @@ class TestMergeSort:
         out = list(merge_sort_rows(KEY1, rows, mem_bytes=mem_bytes))
         assert out == sort_oracle(rows, 1)
 
+    def test_spilled_rows_keep_a_trailing_carriage_return(self):
+        rows = ["b x\r", "a y\r", "b z"]
+        expected = ["a y\r", "b x\r", "b z"]
+        assert list(merge_sort_rows(KEY1, rows)) == expected
+        assert list(merge_sort_rows(KEY1, rows, mem_bytes=1)) == expected
+
     def test_spilled_output_is_a_permutation_of_input(self):
         rng = random.Random(5)
         rows = [f"{rng.randrange(9)} payload{i}" for i in range(1000)]
