@@ -365,7 +365,3 @@ def main(argv=None):
             print(format_volume(total))
 
     return run_tool("bench", body)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -239,8 +239,13 @@ def read_rows(stream):
 
 
 def input_rows(path):
-    """The rows of a named file, or of stdin for ``-``."""
-    with open_text_input(path) as stream:
+    """The rows of a named file, or of stdin for ``-``.  The file is opened
+    at once, so a missing input fails before any output is opened."""
+    return _closing_rows(open_text_input(path))
+
+
+def _closing_rows(stream):
+    with stream:
         yield from read_rows(stream)
 
 

@@ -20,18 +20,9 @@ from .core import (
 )
 
 
-class MasterIndex:
-    """Key to payload map loaded from a master file (field 1 is the key)."""
-
-    __slots__ = ("entries", "payload_width")
-
-    def __init__(self, entries, payload_width):
-        self.entries = entries
-        self.payload_width = payload_width
-
-
 def load_master(rows):
-    """Build a MasterIndex; keys must be unique and payload widths uniform."""
+    """Map each master key (field 1) to its payload fields; keys must be
+    unique and payload widths uniform."""
     entries = {}
     width = None
     for lineno, line in enumerate(rows, 1):
@@ -48,7 +39,7 @@ def load_master(rows):
                 f"master line {lineno}: payload width {len(payload)} != {width}"
             )
         entries[key] = payload
-    return MasterIndex(entries=entries, payload_width=width or 0)
+    return entries
 
 
 def hash_join(key_spec, master, rows):
@@ -57,11 +48,10 @@ def hash_join(key_spec, master, rows):
     Matched rows are re-joined fields with the payload spliced in after
     the key; unmatched rows are the original line, untouched.
     """
-    entries = master.entries
     for lineno, line in enumerate(rows, 1):
         fields = split_fields(line)
         pos = resolve_field(key_spec, len(fields), lineno)
-        payload = entries.get(fields[pos - 1])
+        payload = master.get(fields[pos - 1])
         if payload is None:
             yield False, line
         else:
@@ -116,13 +106,11 @@ def main(argv=None):
         if not args[0].startswith("key="):
             raise UsageError(f"expected key=<spec>, got {args[0]!r}")
         key_spec = parse_fieldspec(args[0][4:])
-        txn = input_rows(optional_file(args[2:], usage))
+        # Both inputs are opened before the reject target, so a missing
+        # input leaves an existing reject file as it was.
         master = load_master(input_rows(args[1]))
+        txn = input_rows(optional_file(args[2:], usage))
         reject_file = None if reject is None else _open_reject(reject)
         return _split_matches(hash_join(key_spec, master, txn), reject_file)
 
     return stream_tool("cjoin1", usage, argv, rows, options=("reject",))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -92,6 +92,10 @@ def _tool(name, *args):
     return [sys.executable, "-m", "meterpipe", name, *args]
 
 
+# Sum values per key: stage 3 over valid rows, and the batch re-aggregation.
+_AGGREGATE_TOOLS = (_tool("msort", "key=1"), _tool("sm2", "1", "1", "2", "2"))
+
+
 def find_xml_files(root):
     """All *.xml files under root, recursively, in sorted path order."""
     found = []
@@ -107,63 +111,78 @@ class StageError(DataError):
     """A tool in a stage pipeline exited nonzero."""
 
 
-def _run_stage(commands, out_path, feed_paths=None, stdin_path=None):
-    """Run commands as one OS pipeline, writing the last stdout to out_path
-    atomically.  ``feed_paths`` are streamed into the first command's stdin."""
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    tmp = tempfile.NamedTemporaryFile(
-        dir=os.path.dirname(out_path) or ".", prefix=".stage-", delete=False
-    )
+def _run_stage(commands, out_paths, feed_paths=None):
+    """Run commands as one OS pipeline and publish ``out_paths`` atomically.
+
+    Each output is written to a temp file beside it: the last command's
+    stdout goes to the first one, and an argument equal to an output path
+    names that output's temp file instead (cjoin1's ``--reject``).  Every
+    output is renamed into place only after every tool exits 0; otherwise
+    every temp file is removed.  ``feed_paths`` are streamed into the first
+    command's stdin.
+    """
+    tmps = []
     procs = []
     try:
-        if feed_paths is not None:
-            first_stdin = subprocess.PIPE
-        elif stdin_path is not None:
-            first_stdin = open(stdin_path, "rb")
-        else:
-            first_stdin = subprocess.DEVNULL
-        try:
-            for i, argv in enumerate(commands):
-                first, last = i == 0, i == len(commands) - 1
-                procs.append(
-                    subprocess.Popen(
-                        argv,
-                        stdin=first_stdin if first else procs[-1].stdout,
-                        stdout=tmp if last else subprocess.PIPE,
-                    )
+        for path in out_paths:
+            directory = os.path.dirname(path) or "."
+            os.makedirs(directory, exist_ok=True)
+            tmps.append(
+                tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
+            )
+        for tmp in tmps[1:]:
+            tmp.close()  # the tools open these by name
+        renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
+        first_stdin = subprocess.DEVNULL if feed_paths is None else subprocess.PIPE
+        for i, argv in enumerate(commands):
+            procs.append(
+                subprocess.Popen(
+                    [renamed.get(arg, arg) for arg in argv],
+                    stdin=procs[-1].stdout if procs else first_stdin,
+                    stdout=tmps[0] if i == len(commands) - 1 else subprocess.PIPE,
                 )
-            for prev in procs[:-1]:
-                prev.stdout.close()  # let SIGPIPE propagate between tools
-        finally:
-            if hasattr(first_stdin, "close"):
-                first_stdin.close()
-
+            )
+        for prev in procs[:-1]:
+            prev.stdout.close()  # let SIGPIPE propagate between tools
         if feed_paths is not None:
-            try:
-                for path in feed_paths:
-                    with open(path, "rb") as f:
-                        shutil.copyfileobj(f, procs[0].stdin, 1024 * 1024)
-                procs[0].stdin.close()
-            except BrokenPipeError:
-                pass  # a downstream failure will surface via exit codes
-
-        failed = None
-        for argv, proc in zip(commands, procs):
-            if proc.wait() != 0 and failed is None:
-                failed = (argv, proc.returncode)
-        if failed is not None:
-            argv, code = failed
-            raise StageError(f"{' '.join(argv[3:])} exited with status {code}")
+            _feed(feed_paths, procs[0].stdin)
+        codes = [proc.wait() for proc in procs]
+        for argv, code in zip(commands, codes):
+            if code != 0:
+                raise StageError(f"{' '.join(argv[3:])} exited with status {code}")
     except BaseException:
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        tmp.close()
-        os.unlink(tmp.name)
+        if procs and procs[0].stdin:
+            try:
+                procs[0].stdin.close()  # after the kills, so no tool sees EOF
+            except BrokenPipeError:
+                pass
+        for tmp in tmps:
+            tmp.close()
+            os.unlink(tmp.name)
         raise
-    tmp.close()
-    os.replace(tmp.name, out_path)
+    tmps[0].close()
+    for path, tmp in zip(out_paths, tmps):
+        os.replace(tmp.name, path)
+
+
+def _feed(paths, pipe):
+    """Stream the files, in order, into a tool's stdin, then close it."""
+    try:
+        for path in paths:
+            try:
+                with open(path, "rb") as f:
+                    shutil.copyfileobj(f, pipe, 1024 * 1024)
+            except BrokenPipeError:
+                raise
+            except OSError as exc:
+                raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+        pipe.close()
+    except BrokenPipeError:
+        pass  # a downstream failure will surface via exit codes
 
 
 def stage_parse(config):
@@ -181,7 +200,7 @@ def stage_parse(config):
         _tool("delf", "1"),
         _tool("delr", "3", "0"),
     ]
-    _run_stage(commands, config.parsed_file, feed_paths=files)
+    _run_stage(commands, [config.parsed_file], feed_paths=files)
 
 
 def stage_validate(config):
@@ -190,41 +209,19 @@ def stage_validate(config):
         raise UsageError(f"master file not found: {config.master_path}")
     if not os.path.isfile(config.parsed_file):
         raise UsageError(f"parsed file not found: {config.parsed_file}")
-    os.makedirs(config.valid_dir, exist_ok=True)
-    reject_tmp = tempfile.NamedTemporaryFile(
-        dir=config.valid_dir, prefix=".reject-", delete=False
+    join = _tool(
+        "cjoin1", "--reject", config.invalid_file,
+        "key=2", config.master_path, config.parsed_file,
     )
-    reject_tmp.close()
-    try:
-        _run_stage(
-            [
-                _tool(
-                    "cjoin1",
-                    "--reject",
-                    reject_tmp.name,
-                    "key=2",
-                    config.master_path,
-                    config.parsed_file,
-                )
-            ],
-            config.valid_file,
-        )
-    except BaseException:
-        os.unlink(reject_tmp.name)
-        raise
-    os.replace(reject_tmp.name, config.invalid_file)
+    _run_stage([join], [config.valid_file, config.invalid_file])
 
 
 def stage_aggregate(config):
     """Sum valid reading values per type into the aggregate file."""
     if not os.path.isfile(config.valid_file):
         raise UsageError(f"valid file not found: {config.valid_file}")
-    commands = [
-        _tool("self", "3", "5", config.valid_file),
-        _tool("msort", "key=1"),
-        _tool("sm2", "1", "1", "2", "2"),
-    ]
-    _run_stage(commands, config.aggregate_file)
+    commands = [_tool("self", "3", "5", config.valid_file), *_AGGREGATE_TOOLS]
+    _run_stage(commands, [config.aggregate_file])
 
 
 _STAGES = (
@@ -255,12 +252,8 @@ def run_batches(config, keep_intermediates=False):
         reports.append((batch, run_single(config.for_batch(batch), keep_intermediates)))
     # Batch aggregates are re-aggregated exactly; exact sums make this
     # equal to aggregating all valid rows in one run.
-    commands = [
-        _tool("msort", "key=1"),
-        _tool("sm2", "1", "1", "2", "2"),
-    ]
     batch_files = [config.for_batch(b).aggregate_file for b in config.batch_dirs]
-    _run_stage(commands, config.aggregate_file, feed_paths=batch_files)
+    _run_stage(_AGGREGATE_TOOLS, [config.aggregate_file], feed_paths=batch_files)
     return reports
 
 
@@ -349,7 +342,3 @@ def main(argv=None):
             stage(config)
 
     return run_tool("pipeline", body)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,6 +22,10 @@ from .core import (
 
 DEFAULT_MEM_BYTES = 256 * 1024 * 1024
 
+# What a held row costs beyond its key and line objects: the (key, line)
+# tuple and its slot in the run list.
+_PAIR_BYTES = sys.getsizeof((None, None)) + 8
+
 
 def _key_of(spec, line, lineno):
     fields = split_fields(line)
@@ -33,17 +37,19 @@ def _key_of(spec, line, lineno):
 def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES):
     """Yield rows ordered by the key field, bytewise and stable.
 
-    Runs of at most ``mem_bytes`` of line text are sorted in memory and
-    spilled to temporary files; spilled runs are merged lazily, so inputs
-    larger than memory are fine.
+    Runs are sorted in memory until the (key, line) pairs they hold reach
+    ``mem_bytes`` at their Python object size, then spilled to temporary
+    files; spilled runs are merged lazily, so inputs larger than memory are
+    fine.
     """
     run = []
     run_bytes = 0
     spills = []
     try:
         for lineno, line in enumerate(rows, 1):
-            run.append((_key_of(key_spec, line, lineno), line))
-            run_bytes += len(line)
+            key = _key_of(key_spec, line, lineno)
+            run.append((key, line))
+            run_bytes += _PAIR_BYTES + sys.getsizeof(key) + sys.getsizeof(line)
             if run_bytes >= mem_bytes:
                 spills.append(_spill(run))
                 run = []
@@ -156,7 +162,3 @@ def sm2_main(argv=None):
         return sum_groups(k_from, k_to, v_from, v_to, input_rows(path))
 
     return stream_tool("sm2", usage, argv, rows)
-
-
-if __name__ == "__main__":
-    sys.exit(msort_main())

@@ -10,7 +10,6 @@ The input may be any number of well-formed documents back to back, as
 produced by concatenating files; parser state resets at each new root.
 """
 
-import sys
 from xml.parsers import expat
 
 from .core import (
@@ -36,15 +35,19 @@ _BOUNDARY_CODES = frozenset(
 
 
 class _DocFlattener:
-    """Expat handlers for one document; emits rows for one match subtree."""
+    """Expat handlers for one document; emits rows for one match subtree.
+
+    Only the innermost open element can still be a text-only leaf, so one
+    flag and one text buffer serve every depth.
+    """
 
     __slots__ = (
         "parser",
         "target",
         "emit",
         "names",
-        "has_child",
-        "texts",
+        "leaf",
+        "text",
         "match_depth",
         "started",
         "root_closed",
@@ -54,8 +57,8 @@ class _DocFlattener:
         self.target = target
         self.emit = emit
         self.names = []
-        self.has_child = []
-        self.texts = []
+        self.leaf = False
+        self.text = []
         self.match_depth = None
         self.started = False
         self.root_closed = False
@@ -69,18 +72,11 @@ class _DocFlattener:
 
     def _start(self, name, attrs):
         names = self.names
-        if names:
-            self.has_child[-1] = True
-        else:
-            self.started = True
+        self.started = True
         names.append(name)
-        self.has_child.append(False)
-        self.texts.append([])
-        if (
-            self.match_depth is None
-            and len(names) == len(self.target)
-            and names == self.target
-        ):
+        self.leaf = True
+        self.text = []
+        if self.match_depth is None and names == self.target:
             self.match_depth = len(names)
         if self.match_depth is not None and attrs:
             prefix = " ".join(names)
@@ -89,14 +85,14 @@ class _DocFlattener:
                 emit(f"{prefix} {attrs[i]} {attrs[i + 1]}")
 
     def _chars(self, data):
-        if self.match_depth is not None:
-            self.texts[-1].append(data)
+        if self.match_depth is not None and self.leaf:
+            self.text.append(data)
 
     def _end(self, name):
         names = self.names
         if self.match_depth is not None:
-            if not self.has_child[-1]:
-                text = "".join(self.texts[-1])
+            if self.leaf:
+                text = "".join(self.text)
                 if text and not text.isspace():
                     if "\n" in text or "\r" in text:
                         # Keep one row per leaf: embedded line breaks would
@@ -106,8 +102,7 @@ class _DocFlattener:
             if len(names) == self.match_depth:
                 self.match_depth = None
         names.pop()
-        self.has_child.pop()
-        self.texts.pop()
+        self.leaf = False  # the parent has a child now
         if not names:
             self.root_closed = True
 
@@ -135,75 +130,46 @@ def flatten_stream(read_chunk, target, emit):
     """
     doc = _DocFlattener(target, emit)
     base = 0  # global offset of the current parser's first byte
-    fed = 0  # bytes fed to the current parser so far
-    tail = []  # recent (start_offset, chunk) segments for boundary restarts
-    carry = b""
     documents = 0
-    eof = False
-
+    chunk = read_chunk()
+    fed = len(chunk)  # bytes fed to the current parser, this chunk included
+    tail = bytearray(chunk)  # this chunk and at least _TAIL_KEEP bytes before it
     while True:
-        if carry:
-            chunk = carry
-            carry = b""
-        elif not eof:
-            chunk = read_chunk()
-            if not chunk:
-                eof = True
+        final = not chunk
+        try:
+            doc.parser.Parse(chunk, final)
+        except expat.ExpatError as exc:
+            if not final and doc.root_closed and exc.code in _BOUNDARY_CODES:
+                # Document boundary: restart a fresh parser at the junk byte.
+                err_index = doc.parser.ErrorByteIndex
+                dropped = fed - len(tail)
+                if err_index < dropped:
+                    raise DataError(
+                        f"document boundary at byte {err_index} is beyond the "
+                        "retained window"
+                    ) from exc
+                del tail[: err_index - dropped]
+                chunk = bytes(tail)
+                fed = len(chunk)
+                documents += 1
+                base += err_index
+                doc = _DocFlattener(target, emit)
                 continue
-        else:
-            try:
-                doc.parser.Parse(b"", True)
-            except expat.ExpatError as exc:
-                if not doc.started and documents == 0:
-                    raise DataError("no XML document found in input") from exc
-                raise _malformed(base, doc.parser, exc) from exc
+            if final and not doc.started and documents == 0:
+                raise DataError("no XML document found in input") from exc
+            offset = base + doc.parser.ErrorByteIndex
+            message = expat.errors.messages.get(exc.code, "parse error")
+            raise DataError(f"malformed XML at byte {offset}: {message}") from exc
+        if final:
             if doc.root_closed:
                 documents += 1
             elif documents == 0:
                 raise DataError("no XML document found in input")
             return documents
-
-        try:
-            doc.parser.Parse(chunk, False)
-        except expat.ExpatError as exc:
-            err_index = doc.parser.ErrorByteIndex
-            if not doc.root_closed or exc.code not in _BOUNDARY_CODES:
-                raise _malformed(base, doc.parser, exc) from exc
-            # Document boundary: restart a fresh parser at the junk byte.
-            if err_index >= fed:
-                remainder = chunk[err_index - fed :]
-            else:
-                remainder = _tail_slice(tail, err_index) + chunk
-            documents += 1
-            base += err_index
-            doc = _DocFlattener(target, emit)
-            fed = 0
-            tail = []
-            carry = remainder
-            continue
-
-        tail.append((fed, chunk))
+        del tail[:-_TAIL_KEEP]
+        chunk = read_chunk()
+        tail += chunk
         fed += len(chunk)
-        while len(tail) > 1 and fed - tail[1][0] >= _TAIL_KEEP:
-            del tail[0]
-
-
-def _tail_slice(tail, err_index):
-    """Bytes from err_index to the end of the retained tail segments."""
-    for i, (start, segment) in enumerate(tail):
-        if start <= err_index < start + len(segment):
-            return segment[err_index - start :] + b"".join(
-                seg for _, seg in tail[i + 1 :]
-            )
-    raise DataError(
-        f"document boundary at byte {err_index} is beyond the retained window"
-    )
-
-
-def _malformed(base, parser, exc):
-    offset = base + parser.ErrorByteIndex
-    message = expat.errors.messages.get(exc.code, "parse error")
-    return DataError(f"malformed XML at byte {offset}: {message}")
 
 
 def flatten_bytes(data, path):
@@ -239,7 +205,3 @@ def main(argv=None):
         return ()
 
     return stream_tool("xmldir", usage, argv, rows)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

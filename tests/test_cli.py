@@ -180,6 +180,17 @@ class TestCjoinCli:
         assert proc.returncode == 0
         assert b"discarded" in proc.stderr
 
+    def test_missing_input_keeps_the_old_reject_file(self, tmp_path):
+        master = self.make_master(tmp_path)
+        reject = tmp_path / "rejects"
+        reject.write_text("an old reject row\n")
+        proc = run_tool(
+            "cjoin1", "--reject", str(reject), "key=2", str(master), "/nonexistent"
+        )
+        assert proc.returncode == 1
+        assert b"cannot open /nonexistent" in proc.stderr
+        assert reject.read_text() == "an old reject row\n"
+
     def test_duplicate_master_key_exits_2(self, tmp_path):
         master = tmp_path / "master"
         master.write_text("k A\nk B\n")
@@ -333,6 +344,26 @@ class TestPipelineCli:
         assert out.returncode == 0, out.stderr
         assert b"total:" in out.stdout
         assert (tmp_path / "v" / "ALL_VALID_READINGS").exists()
+
+    def test_unreadable_corpus_file_exits_2_with_one_line(self, tmp_path, sample_dir):
+        readings, master = sample_dir
+        (readings / "zz.xml").symlink_to(tmp_path / "missing.xml")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+            f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+            f"master_path={master}\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
+            capture_output=True,
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert lines(out.stderr) == [
+            f"pipeline: cannot read {readings / 'zz.xml'}: No such file or directory"
+        ]
+        assert list((tmp_path / "p").iterdir()) == []
 
     def test_missing_config_is_a_usage_error(self, tmp_path):
         out = subprocess.run(

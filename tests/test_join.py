@@ -19,13 +19,13 @@ def join_lists(spec, master, rows):
 class TestLoadMaster:
     def test_reference_master(self):
         master = load_master(MASTER_ROWS)
-        assert len(master.entries) == 3
-        assert master.payload_width == 1
-        assert master.entries["0.0.0.4.1.1.12.0.0.0.0.0.0.0.0.3.72.0"] == ["TYPE03"]
+        assert len(master) == 3
+        assert {len(payload) for payload in master.values()} == {1}
+        assert master["0.0.0.4.1.1.12.0.0.0.0.0.0.0.0.3.72.0"] == ["TYPE03"]
 
     def test_empty_master_matches_nothing(self):
         master = load_master([])
-        assert master.entries == {}
+        assert master == {}
         matched, unmatched = join_lists(KEY2, master, ["a k b"])
         assert matched == [] and unmatched == ["a k b"]
 
@@ -138,6 +138,6 @@ class TestOracleEquivalence:
         assert all(len(split_fields(r)) == 3 for r in unmatched)
         for line in matched:
             fields = split_fields(line)
-            assert master.entries[fields[1]] == fields[2:4]
+            assert master[fields[1]] == fields[2:4]
         for line in unmatched:
-            assert split_fields(line)[1] not in master.entries
+            assert split_fields(line)[1] not in master

@@ -13,6 +13,7 @@ from conftest import (
 from meterpipe.core import DataError, UsageError
 from meterpipe.generator import GeneratorConfig, generate_corpus, load_sidecar
 from meterpipe.pipeline import (
+    StageError,
     find_xml_files,
     load_config,
     run_batches,
@@ -148,6 +149,31 @@ class TestStageErrors:
             stage_parse(config)
         assert not os.path.exists(config.parsed_file)
         assert list(Path(config.parsed_dir).iterdir()) == []
+
+    def test_unreadable_file_is_a_data_error_naming_it(self, tmp_path, sample_dir):
+        readings, master = sample_dir
+        dangling = readings / "zz.xml"
+        dangling.symlink_to(tmp_path / "missing.xml")
+        config = make_pipeline_config(tmp_path, readings, master)
+        with pytest.raises(DataError, match=f"cannot read {dangling}: "):
+            stage_parse(config)
+        assert list(Path(config.parsed_dir).iterdir()) == []
+
+    def test_failed_validate_keeps_the_old_outputs(self, tmp_path, sample_dir):
+        readings, master = sample_dir
+        config = make_pipeline_config(tmp_path, readings, master)
+        stage_parse(config)
+        stage_validate(config)
+        Path(config.invalid_file).write_bytes(b"an old reject row\n")
+        before = {p.name: p.read_bytes() for p in Path(config.valid_dir).iterdir()}
+        ragged = tmp_path / "ragged-master"
+        ragged.write_text(master.read_text() + "k2 TYPE09 extra\n")
+        config.master_path = str(ragged)
+        with pytest.raises(StageError, match="cjoin1 .* exited with status 2"):
+            stage_validate(config)
+        after = {p.name: p.read_bytes() for p in Path(config.valid_dir).iterdir()}
+        assert after == before
+        assert sorted(after) == ["ALL_INVALID_READINGS", "ALL_VALID_READINGS"]
 
     def test_validate_requires_the_parsed_file(self, tmp_path, sample_dir):
         readings, master = sample_dir

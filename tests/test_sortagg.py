@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from meterpipe.core import DataError, parse_fieldspec
+from meterpipe import sortagg
 from meterpipe.sortagg import merge_sort_rows, sum_groups
 
 KEY1 = parse_fieldspec("1")
@@ -64,6 +65,18 @@ class TestMergeSort:
         expected = ["a y\r", "b x\r", "b z"]
         assert list(merge_sort_rows(KEY1, rows)) == expected
         assert list(merge_sort_rows(KEY1, rows, mem_bytes=1)) == expected
+
+    def test_memory_budget_counts_the_held_objects(self, monkeypatch):
+        # The budget is above the rows' text but below what holding them
+        # costs, so the sort must spill.
+        rows = [f"k{i % 13} r{i}" for i in range(300)]
+        spills = []
+        spill = sortagg._spill
+        monkeypatch.setattr(sortagg, "_spill", lambda run: spills.append(run) or spill(run))
+        budget = 2 * sum(len(row) for row in rows)
+        out = list(merge_sort_rows(KEY1, rows, mem_bytes=budget))
+        assert spills
+        assert out == list(merge_sort_rows(KEY1, rows))
 
     def test_spilled_output_is_a_permutation_of_input(self):
         rng = random.Random(5)

@@ -177,6 +177,29 @@ class TestErrors:
         with pytest.raises(DataError):
             flatten_bytes(b"<a><t>x</t></a>not xml", "/a")
 
+    @pytest.mark.parametrize(
+        "after, message",
+        [
+            # A malformed second document: the end tag does not match.
+            (
+                b'<?xml version="1.0"?>\n<MeterReadings><MeterReading></MeterReadings>',
+                "mismatched tag",
+            ),
+            (b"\nnot xml", "syntax error"),  # junk after the last document
+        ],
+    )
+    def test_error_is_chunk_size_independent(self, after, message):
+        first = SAMPLE_XML.encode()
+        data = first + after
+        if message == "mismatched tag":
+            offset = data.index(b"</MeterReadings>", len(first)) + 2
+        else:
+            offset = len(first) + 1
+        for chunk_size in (1, 7, 65536):
+            with pytest.raises(DataError) as err:
+                chunked_flatten(data, ELEMENT_PATH, chunk_size)
+            assert str(err.value) == f"malformed XML at byte {offset}: {message}"
+
     @pytest.mark.parametrize("bad", ["relative/path", "", "/", "/a b/c", "//x"])
     def test_bad_paths_are_usage_errors(self, bad):
         with pytest.raises(UsageError):
