@@ -6,12 +6,11 @@ exits 0 on success, 1 on usage errors, 2 on data errors.
 
 Tools run as many short-lived processes per pipeline, so this module and
 the tool modules stay deliberately light to import: no argparse, no
-dataclasses.
+dataclasses, no re.
 """
 
 import io
 import os
-import re
 import sys
 
 EXIT_OK = 0
@@ -31,18 +30,19 @@ class DataError(Exception):
     exit_code = EXIT_DATA
 
 
-_FIELD_SEP = re.compile(r"[ \t]+")
-
-
 def split_fields(line):
     """Split a line into fields on runs of ASCII space and tab."""
-    return [tok for tok in _FIELD_SEP.split(line) if tok]
+    return [tok for tok in line.replace("\t", " ").split(" ") if tok]
+
+
+def _is_digits(text):
+    """True for a non-empty run of ASCII digits only (``str.isdigit`` alone
+    also accepts digits such as ``²`` and ``٣``)."""
+    return text.isascii() and text.isdigit()
 
 
 ABSOLUTE = "absolute"
 END_RELATIVE = "end_relative"
-
-_SPEC_RE = re.compile(r"^(?:([0-9]+)|NF(?:-([0-9]+))?)$")
 
 
 class FieldSpec:
@@ -75,16 +75,21 @@ class FieldSpec:
 
 def parse_fieldspec(text):
     """Parse an integer, ``NF`` or ``NF-<k>`` selector."""
-    m = _SPEC_RE.match(text)
-    if m is None:
+    if text == "NF":
+        return FieldSpec(END_RELATIVE, 0)
+    relative = text.startswith("NF-")
+    digits = text[3:] if relative else text
+    if not _is_digits(digits):
         raise UsageError(f"invalid field spec {text!r} (expected N, NF or NF-k)")
-    if m.group(1) is not None:
-        index = int(m.group(1))
-        if index < 1:
-            raise UsageError(f"invalid field spec {text!r}: index must be >= 1")
-        return FieldSpec(ABSOLUTE, index)
-    back = int(m.group(2)) if m.group(2) is not None else 0
-    return FieldSpec(END_RELATIVE, back)
+    try:
+        index = int(digits)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        raise UsageError(f"field spec of {len(digits)} digits is too long") from None
+    if relative:
+        return FieldSpec(END_RELATIVE, index)
+    if index < 1:
+        raise UsageError(f"invalid field spec {text!r}: index must be >= 1")
+    return FieldSpec(ABSOLUTE, index)
 
 
 def resolve_field(spec, nfields, lineno=None):
@@ -100,9 +105,6 @@ def resolve_field(spec, nfields, lineno=None):
             f"{where}field {spec} does not exist in a {nfields}-field row"
         )
     return pos
-
-
-_DECIMAL_RE = re.compile(r"^([+-]?)([0-9]+)(?:\.([0-9]+))?$")
 
 
 class DecimalValue:
@@ -138,26 +140,32 @@ class DecimalValue:
 
 
 def parse_decimal(token, lineno=None):
-    """Parse a signed decimal token into an exact DecimalValue."""
-    m = _DECIMAL_RE.match(token)
-    if m is None:
-        where = "" if lineno is None else f"line {lineno}: "
-        raise DataError(f"{where}malformed decimal value {token!r}")
-    sign, intpart, fracpart = m.groups()
-    frac = fracpart or ""
-    return DecimalValue(
-        sign == "-",
-        int(intpart + frac) if frac else int(intpart),
-        len(frac),
-    )
+    """Parse a signed decimal token (``[+-]digits[.digits]``) into an exact
+    DecimalValue."""
+    negative = token.startswith("-")
+    body = token[1:] if negative or token.startswith("+") else token
+    intpart, dot, frac = body.partition(".")
+    if _is_digits(intpart) and (_is_digits(frac) or not dot):
+        try:
+            return DecimalValue(negative, int(intpart + frac), len(frac))
+        except ValueError:  # beyond int()'s limit on decimal digits
+            problem = f"decimal value of {len(intpart + frac)} digits is too long"
+    else:
+        problem = f"malformed decimal value {token!r}"
+    where = "" if lineno is None else f"line {lineno}: "
+    raise DataError(where + problem)
 
 
 def format_decimal(value):
     """Format a DecimalValue, preserving its scale exactly."""
     sign = "-" if value.negative else ""
+    try:
+        text = str(value.digits)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        raise DataError("decimal result has too many digits to print") from None
     if value.scale == 0:
-        return sign + str(value.digits)
-    text = str(value.digits).rjust(value.scale + 1, "0")
+        return sign + text
+    text = text.rjust(value.scale + 1, "0")
     return f"{sign}{text[:-value.scale]}.{text[-value.scale:]}"
 
 

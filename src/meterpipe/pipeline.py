@@ -88,8 +88,21 @@ def load_config(path):
     return config
 
 
+# Each tool starts as ``python -S -c LAUNCHER <tool> <args...>``.  -S skips
+# ``site`` (its .pth files can cost more than the tool's own imports) and
+# -c skips runpy; PYTHONPATH still applies.  The launcher puts the directory
+# holding this process's meterpipe package first on sys.path, so every tool
+# runs the orchestrator's own meterpipe, whatever the working directory.
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAUNCHER = (
+    f"import sys; sys.path.insert(0, {_PACKAGE_PARENT!r}); "
+    "from meterpipe.__main__ import main; sys.exit(main())"
+)
+_TOOL_PREFIX = (sys.executable, "-S", "-c", LAUNCHER)
+
+
 def _tool(name, *args):
-    return [sys.executable, "-m", "meterpipe", name, *args]
+    return [*_TOOL_PREFIX, name, *args]
 
 
 # Sum values per key: stage 3 over valid rows, and the batch re-aggregation.
@@ -149,7 +162,8 @@ def _run_stage(commands, out_paths, feed_paths=None):
         codes = [proc.wait() for proc in procs]
         for argv, code in zip(commands, codes):
             if code != 0:
-                raise StageError(f"{' '.join(argv[3:])} exited with status {code}")
+                tool = " ".join(argv[len(_TOOL_PREFIX):])
+                raise StageError(f"{tool} exited with status {code}")
     except BaseException:
         for proc in procs:
             if proc.poll() is None:

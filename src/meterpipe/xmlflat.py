@@ -145,8 +145,8 @@ def flatten_stream(read_chunk, target, emit):
                 dropped = fed - len(tail)
                 if err_index < dropped:
                     raise DataError(
-                        f"document boundary at byte {err_index} is beyond the "
-                        "retained window"
+                        f"document boundary at byte {base + err_index} is beyond "
+                        "the retained window"
                     ) from exc
                 del tail[: err_index - dropped]
                 chunk = bytes(tail)

@@ -241,6 +241,22 @@ class TestSortAggCli:
         proc = run_tool("sm2", "1", "1", "2", "2", stdin=b"K oops\n")
         assert proc.returncode == 2
 
+    def test_sm2_oversized_value_is_a_one_line_data_error(self):
+        # 5,000 digits exceed int()'s default limit of 4,300.
+        proc = run_tool("sm2", "1", "1", "2", "2", stdin=b"K " + b"9" * 5000 + b"\n")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [
+            "sm2: line 1: decimal value of 5000 digits is too long"
+        ]
+
+    def test_sm2_oversized_sum_is_a_one_line_data_error(self):
+        row = b"K " + b"9" * 4300 + b"\n"
+        proc = run_tool("sm2", "1", "1", "2", "2", stdin=row * 2)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == ["sm2: decimal result has too many digits to print"]
+
 
 # The arguments each stream tool needs before its optional input file.
 LEADING_ARGS = {
@@ -306,6 +322,25 @@ class TestDispatcher:
         )
         assert proc.returncode == 0
         assert b"xmldir" in proc.stdout
+
+
+class TestToolStartup:
+    def test_tool_modules_do_not_import_re(self):
+        # Every stage tool starts as a fresh "python -S" process; re and its
+        # compiled patterns would add to every start.
+        import meterpipe
+
+        parent = str(Path(meterpipe.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {parent!r}); "
+            "import meterpipe.__main__, meterpipe.tabular, meterpipe.join, "
+            "meterpipe.sortagg, meterpipe.xmlflat; print('re' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestPipelineCli:

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,7 +58,15 @@ class TestFieldSpec:
         assert parse_fieldspec("NF") == FieldSpec(END_RELATIVE, 0)
         assert parse_fieldspec("NF-2") == FieldSpec(END_RELATIVE, 2)
 
-    @pytest.mark.parametrize("bad", ["0", "-1", "NF+1", "nf", "NF-", "x", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "0", "-1", "NF+1", "nf", "NF-", "x", "", "²", "NF-٣",
+            # Beyond int()'s default limit of 4,300 digits.
+            pytest.param("9" * 5000, id="5000-digits"),
+            pytest.param("NF-" + "9" * 5000, id="NF-5000-digits"),
+        ],
+    )
     def test_rejects_bad_syntax(self, bad):
         with pytest.raises(UsageError):
             parse_fieldspec(bad)
@@ -165,3 +175,92 @@ class TestReadRows:
         p.write_bytes(b"plain\ncrlf\r\ndouble\r\r\nlast")
         with open(p, "r", encoding="utf-8", newline="\n") as f:
             assert list(read_rows(f)) == ["plain", "crlf", "double\r", "last"]
+
+
+# The regular expressions core parsed with before its parsers became plain
+# string checks.  They stay here as the reference those checks must match.
+_OLD_FIELD_SEP = re.compile(r"[ \t]+")
+_OLD_SPEC_RE = re.compile(r"^(?:([0-9]+)|NF(?:-([0-9]+))?)$")
+_OLD_DECIMAL_RE = re.compile(r"^([+-]?)([0-9]+)(?:\.([0-9]+))?$")
+
+
+def old_split_fields(line):
+    return [tok for tok in _OLD_FIELD_SEP.split(line) if tok]
+
+
+def old_parse_fieldspec(text):
+    """The old parser's result, or None where it raised UsageError."""
+    m = _OLD_SPEC_RE.match(text)
+    if m is None:
+        return None
+    if m.group(1) is not None:
+        index = int(m.group(1))
+        return FieldSpec(ABSOLUTE, index) if index >= 1 else None
+    return FieldSpec(END_RELATIVE, int(m.group(2) or 0))
+
+
+def old_parse_decimal(token):
+    """The old parser's result, or None where it raised DataError."""
+    m = _OLD_DECIMAL_RE.match(token)
+    if m is None:
+        return None
+    sign, intpart, frac = m.groups()
+    frac = frac or ""
+    return DecimalValue(sign == "-", int(intpart + frac), len(frac))
+
+
+def new_or_none(parse, text, error):
+    try:
+        return parse(text)
+    except error:
+        return None
+
+
+# Pieces of fuzzed text: ASCII digits, the characters the syntax uses, the
+# separators, whitespace that is not a separator, and non-ASCII digits that
+# a bare str.isdigit() would accept.
+_FUZZ_PIECES = [
+    "0", "7", "42", "+", "-", ".", "N", "F", "NF", "NF-",
+    " ", "\t", "\r", "\x0b", "\xa0", "²", "٣",
+]
+
+
+def fuzz_texts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 8)))
+
+
+class TestParsersMatchTheOldRegexes:
+    def test_split_fields(self):
+        for line in fuzz_texts(1, 20000):
+            assert split_fields(line) == old_split_fields(line), repr(line)
+
+    def test_parse_fieldspec(self):
+        accepted = 0
+        for text in fuzz_texts(2, 20000):
+            old = old_parse_fieldspec(text)
+            assert new_or_none(parse_fieldspec, text, UsageError) == old, repr(text)
+            accepted += old is not None
+        assert accepted > 500  # the fuzz reaches the accepting paths too
+
+    def test_parse_decimal(self):
+        accepted = 0
+        for text in fuzz_texts(3, 20000):
+            old = old_parse_decimal(text)
+            assert new_or_none(parse_decimal, text, DataError) == old, repr(text)
+            accepted += old is not None
+        assert accepted > 500
+
+    @pytest.mark.parametrize("text", ["1\n", "+1\n"])
+    def test_one_trailing_newline_is_the_known_difference(self, text):
+        # The old "$" also matched just before a final "\n".  Rows never
+        # hold a "\n" (read_rows strips it), so only a spec or a value given
+        # as a command-line argument is affected: it is now rejected.
+        assert old_parse_decimal(text) is not None
+        with pytest.raises(DataError):
+            parse_decimal(text)
+        if text == "1\n":
+            assert old_parse_fieldspec(text) is not None
+            with pytest.raises(UsageError):
+                parse_fieldspec(text)

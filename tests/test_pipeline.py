@@ -169,7 +169,7 @@ class TestStageErrors:
         ragged = tmp_path / "ragged-master"
         ragged.write_text(master.read_text() + "k2 TYPE09 extra\n")
         config.master_path = str(ragged)
-        with pytest.raises(StageError, match="cjoin1 .* exited with status 2"):
+        with pytest.raises(StageError, match="^cjoin1 --reject .* exited with status 2$"):
             stage_validate(config)
         after = {p.name: p.read_bytes() for p in Path(config.valid_dir).iterdir()}
         assert after == before
@@ -186,6 +186,32 @@ class TestStageErrors:
         config = make_pipeline_config(tmp_path, readings, master)
         with pytest.raises(UsageError, match="valid file"):
             stage_aggregate(config)
+
+
+class TestToolLauncher:
+    """Every tool runs the orchestrator's own meterpipe package."""
+
+    def test_a_meterpipe_package_in_the_working_directory_is_ignored(
+        self, tmp_path, sample_dir, monkeypatch
+    ):
+        readings, master = sample_dir
+        decoy = tmp_path / "cwd" / "meterpipe"
+        decoy.mkdir(parents=True)
+        (decoy / "__init__.py").write_text("")
+        (decoy / "__main__.py").write_text("import sys\nsys.exit(3)\n")
+        monkeypatch.chdir(decoy.parent)
+        config = make_pipeline_config(tmp_path, readings, master)
+        stage_parse(config)
+        assert read_lines(config.parsed_file) == SAMPLE_PARSED_ROWS
+
+    def test_tools_need_no_pythonpath(self, tmp_path, sample_dir, monkeypatch):
+        # Children inherit the environment, not this process's sys.path.
+        readings, master = sample_dir
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        monkeypatch.chdir(tmp_path)
+        config = make_pipeline_config(tmp_path, readings, master)
+        stage_parse(config)
+        assert read_lines(config.parsed_file) == SAMPLE_PARSED_ROWS
 
 
 class TestFindXmlFiles:

@@ -177,6 +177,14 @@ class TestErrors:
         with pytest.raises(DataError):
             flatten_bytes(b"<a><t>x</t></a>not xml", "/a")
 
+    def test_oversized_boundary_reports_the_global_offset(self):
+        # A declaration longer than the retained window still fails, but the
+        # offset is global like every other one: where the declaration starts.
+        doc = SAMPLE_XML.encode()
+        data = doc * 2 + b'<?xml version="1.0"' + b" " * 150_000 + b"?>" + doc
+        with pytest.raises(DataError, match=f"boundary at byte {2 * len(doc)} is beyond"):
+            flatten_bytes(data, ELEMENT_PATH)
+
     @pytest.mark.parametrize(
         "after, message",
         [
