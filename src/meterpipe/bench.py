@@ -18,10 +18,10 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
+from decimal import Decimal
 
 from .core import (
     DataError,
-    DecimalValue,
     UsageError,
     decimal_mul,
     format_decimal,
@@ -66,18 +66,16 @@ def cost(gb_per_month, price_per_gb_month, months):
     d = _as_decimal(gb_per_month)
     alpha = _as_decimal(price_per_gb_month)
     factor = months * (months + 1) // 2
-    return decimal_mul(decimal_mul(d, alpha), DecimalValue(False, factor, 0))
+    return decimal_mul(decimal_mul(d, alpha), parse_decimal(str(factor)))
 
 
 def cost_table(gb_per_month, price_per_gb_month, months):
-    """C(1)..C(months) as (month, DecimalValue) rows."""
+    """C(1)..C(months) as (month, exact decimal) rows."""
     return [(m, cost(gb_per_month, price_per_gb_month, m)) for m in range(1, months + 1)]
 
 
 def _as_decimal(value):
-    if isinstance(value, DecimalValue):
-        return value
-    return parse_decimal(str(value))
+    return value if isinstance(value, Decimal) else parse_decimal(str(value))
 
 
 # --- data-volume projection ----------------------------------------------

@@ -73,6 +73,17 @@ class FieldSpec:
         return f"FieldSpec({self.kind!r}, {self.index!r})"
 
 
+def parse_digits(text, what):
+    """Parse a run of ASCII digits, such as a field position or a byte
+    count; anything else is a UsageError naming ``what``."""
+    if not _is_digits(text):
+        raise UsageError(f"invalid {what} {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # beyond int()'s limit on decimal digits
+        raise UsageError(f"{what} of {len(text)} digits is too long") from None
+
+
 def parse_fieldspec(text):
     """Parse an integer, ``NF`` or ``NF-<k>`` selector."""
     if text == "NF":
@@ -81,10 +92,7 @@ def parse_fieldspec(text):
     digits = text[3:] if relative else text
     if not _is_digits(digits):
         raise UsageError(f"invalid field spec {text!r} (expected N, NF or NF-k)")
-    try:
-        index = int(digits)
-    except ValueError:  # beyond int()'s limit on decimal digits
-        raise UsageError(f"field spec of {len(digits)} digits is too long") from None
+    index = parse_digits(digits, "field spec")
     if relative:
         return FieldSpec(END_RELATIVE, index)
     if index < 1:
@@ -107,83 +115,53 @@ def resolve_field(spec, nfields, lineno=None):
     return pos
 
 
-class DecimalValue:
-    """Exact base-10 fixed point: sign, integer magnitude, fractional digits.
+_exact = None
 
-    Addition and multiplication are exact; no rounding ever occurs, and
-    the input scale (trailing zeros included) survives formatting.
-    """
 
-    __slots__ = ("negative", "digits", "scale")
+def _exact_context():
+    """The context every decimal is made and worked in: precision and
+    exponents at their limits, and rounding an error, so each result is
+    exact.  Made on first use, so only the tools that sum import decimal."""
+    global _exact
+    if _exact is None:
+        import decimal
 
-    def __init__(self, negative, digits, scale):
-        self.negative = negative
-        self.digits = digits
-        self.scale = scale
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecimalValue)
-            and self.negative == other.negative
-            and self.digits == other.digits
-            and self.scale == other.scale
+        _exact = decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            Emin=decimal.MIN_EMIN,
+            traps=[decimal.Inexact, decimal.Rounded],
         )
-
-    def __hash__(self):
-        return hash((self.negative, self.digits, self.scale))
-
-    def __str__(self):
-        return format_decimal(self)
-
-    def __repr__(self):
-        return f"DecimalValue({self.negative!r}, {self.digits!r}, {self.scale!r})"
+    return _exact
 
 
 def parse_decimal(token, lineno=None):
     """Parse a signed decimal token (``[+-]digits[.digits]``) into an exact
-    DecimalValue."""
-    negative = token.startswith("-")
-    body = token[1:] if negative or token.startswith("+") else token
+    ``decimal.Decimal``; the scale (trailing zeros included) is kept."""
+    body = token[1:] if token.startswith(("-", "+")) else token
     intpart, dot, frac = body.partition(".")
     if _is_digits(intpart) and (_is_digits(frac) or not dot):
-        try:
-            return DecimalValue(negative, int(intpart + frac), len(frac))
-        except ValueError:  # beyond int()'s limit on decimal digits
-            problem = f"decimal value of {len(intpart + frac)} digits is too long"
-    else:
-        problem = f"malformed decimal value {token!r}"
+        return _exact_context().create_decimal(token)
     where = "" if lineno is None else f"line {lineno}: "
-    raise DataError(where + problem)
+    raise DataError(f"{where}malformed decimal value {token!r}")
 
 
 def format_decimal(value):
-    """Format a DecimalValue, preserving its scale exactly."""
-    sign = "-" if value.negative else ""
-    try:
-        text = str(value.digits)
-    except ValueError:  # beyond int()'s limit on decimal digits
-        raise DataError("decimal result has too many digits to print") from None
-    if value.scale == 0:
-        return sign + text
-    text = text.rjust(value.scale + 1, "0")
-    return f"{sign}{text[:-value.scale]}.{text[-value.scale:]}"
+    """Format a decimal in plain notation, keeping its scale exactly."""
+    return f"{value:f}"
 
 
 def decimal_add(a, b):
-    """Exact sum; the result scale is the larger of the two input scales."""
-    scale = max(a.scale, b.scale)
-    av = a.digits * 10 ** (scale - a.scale)
-    bv = b.digits * 10 ** (scale - b.scale)
-    total = (-av if a.negative else av) + (-bv if b.negative else bv)
-    return DecimalValue(total < 0, abs(total), scale)
+    """Exact sum; the result scale is the larger of the two input scales,
+    and a zero sum is unsigned."""
+    total = _exact_context().add(a, b)
+    return total if total else total.copy_abs()
 
 
 def decimal_mul(a, b):
-    """Exact product; scales add."""
-    digits = a.digits * b.digits
-    return DecimalValue(
-        (a.negative != b.negative) and digits != 0, digits, a.scale + b.scale
-    )
+    """Exact product; scales add, and a zero product is unsigned."""
+    product = _exact_context().multiply(a, b)
+    return product if product else product.copy_abs()
 
 
 # --- config files -----------------------------------------------------------

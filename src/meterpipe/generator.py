@@ -10,7 +10,7 @@ import datetime
 import os
 from dataclasses import dataclass, field
 
-from .core import DataError, UsageError, DecimalValue, decimal_add, format_decimal
+from .core import DataError, UsageError, decimal_add, format_decimal, parse_decimal
 
 # Master mapping of valid reading-type codes to their names.
 READING_TYPES = (
@@ -86,7 +86,7 @@ class CorpusStats:
     files: int
     readings: int
     invalid_count: int
-    type_sums: dict  # name -> DecimalValue, valid readings only
+    type_sums: dict  # name -> exact decimal sum, valid readings only
 
 
 def _meter_id(n):
@@ -168,14 +168,15 @@ def generate_corpus(config):
             code = _FILE_CODE_ORDER[j % len(_FILE_CODE_ORDER)]
             invalid = threshold > 0 and rng.below(10**9) < threshold
             raw = rng.below(200000)  # value in [0, 20) at 4 decimals
-            value = DecimalValue(negative=False, digits=raw, scale=4)
+            text = f"{raw // 10000}.{raw % 10000:04d}"
             if invalid:
                 code = _invalid_code(rng)
                 invalid_count += 1
             else:
                 name = valid_names[code]
+                value = parse_decimal(text)
                 sums[name] = decimal_add(sums[name], value) if name in sums else value
-            readings.append((format_decimal(value), code))
+            readings.append((text, code))
             readings_total += 1
 
         content = render_file(meter, _timestamp(config.date, second), readings)

@@ -12,6 +12,7 @@ from .core import (
     input_rows,
     optional_file,
     parse_decimal,
+    parse_digits,
     parse_fieldspec,
     resolve_field,
     row_bytes,
@@ -132,10 +133,7 @@ def msort_main(argv=None):
         key_spec = parse_fieldspec(args[0][4:])
         mem_bytes = DEFAULT_MEM_BYTES
         if mem is not None:
-            try:
-                mem_bytes = int(mem)
-            except ValueError:
-                raise UsageError(f"bad --mem value {mem!r}") from None
+            mem_bytes = parse_digits(mem, "--mem value")
             if mem_bytes < 1:
                 raise UsageError("--mem must be positive")
         path = optional_file(args[1:], usage)
@@ -150,10 +148,9 @@ def sm2_main(argv=None):
     def rows(args):
         if len(args) < 4:
             raise UsageError(usage)
-        try:
-            k_from, k_to, v_from, v_to = (int(a) for a in args[:4])
-        except ValueError:
-            raise UsageError(f"field positions must be integers\n{usage}") from None
+        k_from, k_to, v_from, v_to = (
+            parse_digits(a, "field position") for a in args[:4]
+        )
         if not (1 <= k_from <= k_to < v_from <= v_to):
             raise UsageError(
                 "field ranges must satisfy 1 <= k_from <= k_to < v_from <= v_to"

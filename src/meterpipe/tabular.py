@@ -156,6 +156,8 @@ def _spec_tool_main(prog, transform, argv):
             try:
                 specs.append(parse_fieldspec(arg))
             except UsageError:
+                if not specs:  # name the argument that should have been one
+                    raise
                 break
         if not specs:
             raise UsageError(f"at least one field spec (N, NF or NF-k) is required\n{usage}")

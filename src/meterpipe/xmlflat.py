@@ -50,7 +50,7 @@ class _DocFlattener:
         "text",
         "match_depth",
         "started",
-        "root_closed",
+        "root_end",
     )
 
     def __init__(self, target, emit):
@@ -61,8 +61,12 @@ class _DocFlattener:
         self.text = []
         self.match_depth = None
         self.started = False
-        self.root_closed = False
+        self.root_end = None  # where the root's end tag starts, once seen
         parser = expat.ParserCreate()
+        if hasattr(parser, "SetReparseDeferralEnabled"):  # expat >= 2.6
+            # Each Parse call must parse all it can: flatten_stream keeps
+            # only the bytes fed since the root closed.
+            parser.SetReparseDeferralEnabled(False)
         parser.buffer_text = True
         parser.ordered_attributes = True
         parser.StartElementHandler = self._start
@@ -104,7 +108,7 @@ class _DocFlattener:
         names.pop()
         self.leaf = False  # the parent has a child now
         if not names:
-            self.root_closed = True
+            self.root_end = self.parser.CurrentByteIndex
 
 
 def parse_element_path(text):
@@ -115,11 +119,6 @@ def parse_element_path(text):
     if not components or any(not c or " " in c or "\t" in c for c in components):
         raise UsageError(f"invalid element path: {text!r}")
     return components
-
-
-# How far back a document boundary may reach into already-fed bytes: the
-# next document's first token seen so far (at most an XML declaration).
-_TAIL_KEEP = 64 * 1024
 
 
 def flatten_stream(read_chunk, target, emit):
@@ -133,22 +132,16 @@ def flatten_stream(read_chunk, target, emit):
     documents = 0
     chunk = read_chunk()
     fed = len(chunk)  # bytes fed to the current parser, this chunk included
-    tail = bytearray(chunk)  # this chunk and at least _TAIL_KEEP bytes before it
+    tail = bytearray(chunk)  # the bytes fed since the root element closed
     while True:
         final = not chunk
         try:
             doc.parser.Parse(chunk, final)
         except expat.ExpatError as exc:
-            if not final and doc.root_closed and exc.code in _BOUNDARY_CODES:
+            if not final and doc.root_end is not None and exc.code in _BOUNDARY_CODES:
                 # Document boundary: restart a fresh parser at the junk byte.
                 err_index = doc.parser.ErrorByteIndex
-                dropped = fed - len(tail)
-                if err_index < dropped:
-                    raise DataError(
-                        f"document boundary at byte {base + err_index} is beyond "
-                        "the retained window"
-                    ) from exc
-                del tail[: err_index - dropped]
+                del tail[: err_index - (fed - len(tail))]
                 chunk = bytes(tail)
                 fed = len(chunk)
                 documents += 1
@@ -161,12 +154,14 @@ def flatten_stream(read_chunk, target, emit):
             message = expat.errors.messages.get(exc.code, "parse error")
             raise DataError(f"malformed XML at byte {offset}: {message}") from exc
         if final:
-            if doc.root_closed:
+            if doc.root_end is not None:
                 documents += 1
             elif documents == 0:
                 raise DataError("no XML document found in input")
             return documents
-        del tail[:-_TAIL_KEEP]
+        # The next document can only start after the root's end tag.
+        keep_from = fed if doc.root_end is None else doc.root_end
+        del tail[: max(0, keep_from - (fed - len(tail)))]
         chunk = read_chunk()
         tail += chunk
         fed += len(chunk)

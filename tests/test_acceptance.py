@@ -25,7 +25,6 @@ from conftest import (
 )
 from meterpipe.bench import BenchConfig, cost, run_bench, size_reduction
 from meterpipe.core import (
-    DecimalValue,
     decimal_add,
     decimal_mul,
     format_decimal,
@@ -273,9 +272,9 @@ def test_criterion_7_cost_model():
         d, alpha = parse_decimal(PRODUCTION_RAW_GB), parse_decimal("0.01")
         previous = cost(d, alpha, 1)
         for m in range(2, 121):
-            increment = decimal_mul(decimal_mul(d, alpha), DecimalValue(False, m, 0))
+            increment = decimal_mul(decimal_mul(d, alpha), parse_decimal(str(m)))
             current = cost(d, alpha, m)
-            assert decimal_add(previous, increment) == current
+            assert decimal_add(previous, increment).as_tuple() == current.as_tuple()
             previous = current
 
 

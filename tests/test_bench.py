@@ -12,7 +12,13 @@ from meterpipe.bench import (
     size_reduction,
     volume_projection,
 )
-from meterpipe.core import UsageError, format_decimal, parse_decimal
+from meterpipe.core import (
+    UsageError,
+    decimal_add,
+    decimal_mul,
+    format_decimal,
+    parse_decimal,
+)
 from meterpipe.generator import GeneratorConfig, generate_corpus
 from meterpipe.pipeline import stage_parse
 from conftest import make_pipeline_config
@@ -32,17 +38,14 @@ class TestCostModel:
         d, alpha = parse_decimal("810"), parse_decimal("0.01")
         table = cost_table(d, alpha, 120)
         for (m_prev, prev), (m, value) in zip(table, table[1:]):
-            from meterpipe.core import decimal_add, decimal_mul, DecimalValue
-
-            increment = decimal_mul(decimal_mul(d, alpha), DecimalValue(False, m, 0))
-            assert decimal_add(prev, increment) == value
+            increment = decimal_mul(decimal_mul(d, alpha), parse_decimal(str(m)))
+            assert decimal_add(prev, increment).as_tuple() == value.as_tuple()
 
     def test_linearity_in_volume(self):
         double = cost("1620", "0.01", 12)
         single = cost("810", "0.01", 12)
-        from meterpipe.core import DecimalValue, decimal_mul
-
-        assert decimal_mul(single, DecimalValue(False, 2, 0)).digits == double.digits
+        doubled = decimal_mul(single, parse_decimal("2"))
+        assert doubled.as_tuple() == double.as_tuple()
 
     def test_months_must_be_positive(self):
         with pytest.raises(UsageError):

@@ -20,6 +20,10 @@ def lines(raw):
     return raw.decode().splitlines()
 
 
+# Numeric arguments that a bare int() would accept.
+NOT_ASCII_DIGITS = ("٢", " 2", "+2", "2_0")
+
+
 class TestXmldirCli:
     def test_reads_stdin_with_dash(self):
         proc = run_tool("xmldir", ELEMENT_PATH, "-", stdin=SAMPLE_XML.encode())
@@ -61,6 +65,15 @@ class TestRowToolsCli:
     def test_self_without_specs_is_a_usage_error(self):
         proc = run_tool("self", stdin=b"")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("tool", ["self", "delf"])
+    def test_a_bad_first_spec_is_named(self, tool):
+        proc = run_tool(tool, "٢", stdin=b"K 1\n")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [
+            f"{tool}: invalid field spec '٢' (expected N, NF or NF-k)"
+        ]
 
     def test_self_on_empty_input(self):
         proc = run_tool("self", "1", stdin=b"")
@@ -216,6 +229,13 @@ class TestSortAggCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_tool("msort", "key=1", stdin=rows).stdout
 
+    def test_msort_rejects_a_bad_memory_budget(self):
+        for bad in NOT_ASCII_DIGITS:
+            proc = run_tool("msort", "key=1", "--mem", bad, stdin=b"b\na\n")
+            assert proc.returncode == 1, bad
+            assert proc.stdout == b""
+            assert lines(proc.stderr) == [f"msort: invalid --mem value {bad!r}"]
+
     def test_msort_spill_dir_env_is_honored(self, tmp_path):
         spill = tmp_path / "spills"
         spill.mkdir()
@@ -236,26 +256,30 @@ class TestSortAggCli:
         assert proc.returncode == 1
         proc = run_tool("sm2", "1", "2", "2", "3", stdin=b"")
         assert proc.returncode == 1
+        # Positions are ASCII digits only, like field specs.
+        for bad in NOT_ASCII_DIGITS:
+            proc = run_tool("sm2", "1", "1", "2", bad, stdin=b"K 1\nK 2\n")
+            assert proc.returncode == 1, bad
+            assert proc.stdout == b""
+            assert lines(proc.stderr) == [f"sm2: invalid field position {bad!r}"]
 
     def test_sm2_malformed_decimal_exits_2(self):
         proc = run_tool("sm2", "1", "1", "2", "2", stdin=b"K oops\n")
         assert proc.returncode == 2
 
-    def test_sm2_oversized_value_is_a_one_line_data_error(self):
-        # 5,000 digits exceed int()'s default limit of 4,300.
+    def test_sm2_passes_an_oversized_value_exactly(self):
+        # 5,000 digits exceed int()'s default limit of 4,300; sums have none.
         proc = run_tool("sm2", "1", "1", "2", "2", stdin=b"K " + b"9" * 5000 + b"\n")
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert lines(proc.stderr) == [
-            "sm2: line 1: decimal value of 5000 digits is too long"
-        ]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"K " + b"9" * 5000 + b"\n"
+        assert proc.stderr == b""
 
-    def test_sm2_oversized_sum_is_a_one_line_data_error(self):
+    def test_sm2_prints_an_oversized_sum_exactly(self):
         row = b"K " + b"9" * 4300 + b"\n"
         proc = run_tool("sm2", "1", "1", "2", "2", stdin=row * 2)
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert lines(proc.stderr) == ["sm2: decimal result has too many digits to print"]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"K 1" + b"9" * 4299 + b"8\n"
+        assert proc.stderr == b""
 
 
 # The arguments each stream tool needs before its optional input file.
@@ -341,6 +365,30 @@ class TestToolStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
+    def test_only_sm2_imports_decimal(self, tool, tmp_path):
+        # decimal costs several ms per start, and only sm2 sums.
+        from meterpipe.pipeline import _tool
+
+        master = tmp_path / "master"
+        master.write_text("\n".join(MASTER_ROWS) + "\n")
+        args = [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
+        one_row = {"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n")
+        argv = _tool(tool, *args)
+        proc = subprocess.run(
+            [argv[0], "-X", "importtime", *argv[1:]],
+            input=one_row.encode(),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imports = [
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "meterpipe.core" in imports
+        assert any("decimal" in name for name in imports) == (tool == "sm2")
 
 
 class TestPipelineCli:

@@ -3,12 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meterpipe.core import (
     ABSOLUTE,
     DataError,
-    DecimalValue,
     END_RELATIVE,
     FieldSpec,
     UsageError,
@@ -97,16 +96,24 @@ class TestFieldSpec:
             assert str(parse_fieldspec(text)) == text
 
 
+def decimal_text(negative, digits, scale):
+    """The plain text of sign, integer magnitude and scale."""
+    text = str(digits).rjust(scale + 1, "0")
+    if scale:
+        text = f"{text[:-scale]}.{text[-scale:]}"
+    return ("-" if negative else "") + text
+
+
 class TestDecimal:
     def test_parse_reading_value(self):
-        assert parse_decimal("14.8361") == DecimalValue(False, 148361, 4)
+        assert parse_decimal("14.8361").as_tuple() == (0, (1, 4, 8, 3, 6, 1), -4)
 
     def test_parse_zero(self):
-        assert parse_decimal("0") == DecimalValue(False, 0, 0)
+        assert parse_decimal("0").as_tuple() == (0, (0,), 0)
 
     def test_trailing_zero_survives_round_trip(self):
         value = parse_decimal("17.8280")
-        assert value == DecimalValue(False, 178280, 4)
+        assert value.as_tuple() == (0, (1, 7, 8, 2, 8, 0), -4)
         assert format_decimal(value) == "17.8280"
 
     def test_negative_and_small(self):
@@ -135,17 +142,25 @@ class TestDecimal:
         product = decimal_mul(parse_decimal("810"), parse_decimal("0.01"))
         assert format_decimal(product) == "8.10"
 
+    def test_zero_results_are_unsigned(self):
+        zero = decimal_add(parse_decimal("-0.0"), parse_decimal("-0.0"))
+        assert format_decimal(zero) == "0.0"
+        assert format_decimal(decimal_mul(parse_decimal("-1.5"), parse_decimal("0"))) == "0.0"
+        assert format_decimal(parse_decimal("-0.0")) == "-0.0"  # a lone value is kept
+
     @given(
         st.booleans(),
         st.integers(min_value=0, max_value=10**30),
         st.integers(min_value=0, max_value=12),
     )
     def test_format_parse_round_trip(self, negative, digits, scale):
-        value = DecimalValue(negative=negative, digits=digits, scale=scale)
-        assert parse_decimal(format_decimal(value)) == value
+        text = decimal_text(negative, digits, scale)
+        value = parse_decimal(text)
+        assert value.as_tuple() == (negative, tuple(map(int, str(digits))), -scale)
+        assert format_decimal(value) == text
 
     @given(st.lists(_tokens := st.builds(
-        lambda neg, d, s: format_decimal(DecimalValue(neg, d, s)),
+        decimal_text,
         st.booleans(),
         st.integers(min_value=0, max_value=10**24),
         st.integers(min_value=0, max_value=9),
@@ -155,7 +170,8 @@ class TestDecimal:
         for tok in tokens[1:]:
             total = decimal_add(total, parse_decimal(tok))
         assert Fraction(format_decimal(total)) == sum(Fraction(t) for t in tokens)
-        assert total.scale == max(parse_decimal(t).scale for t in tokens)
+        exponent = min(parse_decimal(t).as_tuple().exponent for t in tokens)
+        assert total.as_tuple().exponent == exponent
 
     @given(st.lists(_tokens, min_size=2, max_size=12))
     def test_addition_is_order_independent(self, tokens):
@@ -166,7 +182,51 @@ class TestDecimal:
         backward = values[-1]
         for v in reversed(values[:-1]):
             backward = decimal_add(backward, v)
-        assert forward == backward
+        assert format_decimal(forward) == format_decimal(backward)
+
+
+def _signed_token(sign, intpart, frac):
+    return sign + intpart + ("." + frac if frac else "")
+
+
+# Signed tokens as rows carry them: an optional sign, leading zeros, scales
+# 0-9, and the signed zeros spelt out.
+_SIGNED_TOKENS = st.one_of(
+    st.sampled_from(["-0", "-0.0", "+0", "0", "+0.000", "-000.000000000"]),
+    st.builds(
+        _signed_token,
+        st.sampled_from(["", "+", "-"]),
+        st.text(alphabet="0123456789", min_size=1, max_size=25),
+        st.integers(min_value=0, max_value=9).flatmap(
+            lambda scale: st.text(alphabet="0123456789", min_size=scale, max_size=scale)
+        ),
+    ),
+)
+
+
+def fraction_oracle_sum(tokens):
+    """The exact sum as text at the largest addend scale; zero is unsigned."""
+    scale = max(len(tok.partition(".")[2]) for tok in tokens)
+    units = sum(Fraction(tok) for tok in tokens) * 10**scale
+    assert units.denominator == 1
+    text = str(abs(units.numerator)).rjust(scale + 1, "0")
+    if scale:
+        text = f"{text[:-scale]}.{text[-scale:]}"
+    return ("-" if units < 0 else "") + text
+
+
+class TestSumTextMatchesTheFractionOracle:
+    @given(st.lists(_SIGNED_TOKENS, min_size=2, max_size=20))
+    @settings(max_examples=500)
+    @example(["-0.0", "-0.0"])
+    @example(["-0", "+0"])
+    @example(["-0.5", "0.25"])
+    @example(["007.50", "-0003.5"])
+    def test_sum_text(self, tokens):
+        total = parse_decimal(tokens[0])
+        for tok in tokens[1:]:
+            total = decimal_add(total, parse_decimal(tok))
+        assert format_decimal(total) == fraction_oracle_sum(tokens)
 
 
 class TestReadRows:
@@ -206,7 +266,7 @@ def old_parse_decimal(token):
         return None
     sign, intpart, frac = m.groups()
     frac = frac or ""
-    return DecimalValue(sign == "-", int(intpart + frac), len(frac))
+    return sign == "-", int(intpart + frac), len(frac)
 
 
 def new_or_none(parse, text, error):
@@ -214,6 +274,14 @@ def new_or_none(parse, text, error):
         return parse(text)
     except error:
         return None
+
+
+def decimal_parts(value):
+    """A decimal as (negative, integer magnitude, scale), or None."""
+    if value is None:
+        return None
+    sign, digits, exponent = value.as_tuple()
+    return bool(sign), int("".join(map(str, digits))), -exponent
 
 
 # Pieces of fuzzed text: ASCII digits, the characters the syntax uses, the
@@ -248,7 +316,8 @@ class TestParsersMatchTheOldRegexes:
         accepted = 0
         for text in fuzz_texts(3, 20000):
             old = old_parse_decimal(text)
-            assert new_or_none(parse_decimal, text, DataError) == old, repr(text)
+            new = decimal_parts(new_or_none(parse_decimal, text, DataError))
+            assert new == old, repr(text)
             accepted += old is not None
         assert accepted > 500
 

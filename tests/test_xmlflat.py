@@ -92,6 +92,15 @@ class TestConcatenatedDocuments:
         for chunk_size in (1, 7, 64, 1024, len(data)):
             assert chunked_flatten(data, ELEMENT_PATH, chunk_size) == expected
 
+    def test_boundary_token_longer_than_a_chunk(self):
+        # Everything fed since the root closed is kept, so the next
+        # document's first token may span any number of chunks.
+        doc = SAMPLE_XML.encode()
+        data = doc * 2 + b'<?xml version="1.0"' + b" " * 150_000 + b"?>" + doc
+        assert flatten_bytes(data, ELEMENT_PATH) == SAMPLE_FLAT_ROWS * 3
+        for chunk_size in (1000, 4096):
+            assert chunked_flatten(data, ELEMENT_PATH, chunk_size) == SAMPLE_FLAT_ROWS * 3
+
     def test_mixed_roots_contribute_only_matching_documents(self):
         data = SAMPLE_XML.encode() + b"<Other><a>1</a></Other>" + SAMPLE_XML.encode()
         assert flatten_bytes(data, ELEMENT_PATH) == SAMPLE_FLAT_ROWS * 2
@@ -176,14 +185,6 @@ class TestErrors:
     def test_trailing_garbage_after_last_document(self):
         with pytest.raises(DataError):
             flatten_bytes(b"<a><t>x</t></a>not xml", "/a")
-
-    def test_oversized_boundary_reports_the_global_offset(self):
-        # A declaration longer than the retained window still fails, but the
-        # offset is global like every other one: where the declaration starts.
-        doc = SAMPLE_XML.encode()
-        data = doc * 2 + b'<?xml version="1.0"' + b" " * 150_000 + b"?>" + doc
-        with pytest.raises(DataError, match=f"boundary at byte {2 * len(doc)} is beyond"):
-            flatten_bytes(data, ELEMENT_PATH)
 
     @pytest.mark.parametrize(
         "after, message",
