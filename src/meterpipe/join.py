@@ -13,6 +13,7 @@ from .core import (
     input_rows,
     open_text,
     optional_file,
+    parse_digits,
     parse_fieldspec,
     resolve_field,
     split_fields,
@@ -61,9 +62,11 @@ def hash_join(key_spec, master, rows):
 def _open_reject(target):
     if target.startswith("&"):
         try:
-            fd = int(target[1:])
-        except ValueError:
-            raise UsageError(f"bad reject target {target!r}: expected &N or a path")
+            fd = parse_digits(target[1:], "reject descriptor")
+        except UsageError:
+            raise UsageError(
+                f"bad reject target {target!r}: expected &N or a path"
+            ) from None
         try:
             return open_text(fd, "w")
         except OSError as exc:

@@ -9,6 +9,7 @@ renamed, leaving no partial files behind on failure.
 """
 
 import argparse
+import atexit
 import datetime
 import os
 import shutil
@@ -93,12 +94,57 @@ def load_config(path):
 # -c skips runpy; PYTHONPATH still applies.  The launcher puts the directory
 # holding this process's meterpipe package first on sys.path, so every tool
 # runs the orchestrator's own meterpipe, whatever the working directory.
-_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAUNCHER = (
-    f"import sys; sys.path.insert(0, {_PACKAGE_PARENT!r}); "
-    "from meterpipe.__main__ import main; sys.exit(main())"
-)
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+_PACKAGE_PARENT = os.path.dirname(_PACKAGE_DIR)
+
+
+def _launcher(package_parent):
+    return (
+        f"import sys; sys.path.insert(0, {package_parent!r}); "
+        "from meterpipe.__main__ import main; sys.exit(main())"
+    )
+
+
+LAUNCHER = _launcher(_PACKAGE_PARENT)
 _TOOL_PREFIX = (sys.executable, "-S", "-c", LAUNCHER)
+
+# _run_stage swaps LAUNCHER for one that loads the package from sourceless
+# bytecode, compiled once per process into a private temporary directory that
+# is removed at exit, so no tool compiles meterpipe from source and nothing is
+# written beside the sources.  The code objects still name the source files,
+# so tracebacks keep their lines.  The compile runs in a child: a child's peak
+# RSS starts at its parent's, so growing this process would grow every tool's.
+_COMPILE = (
+    "import os, py_compile, sys; src, dst = sys.argv[1:]; "
+    "[py_compile.compile(os.path.join(src, n), os.path.join(dst, n + 'c'), "
+    "doraise=True) for n in os.listdir(src) if n.endswith('.py')]"
+)
+_bytecode_parent = None
+
+
+def _compiled_parent():
+    """The directory holding the compiled ``meterpipe/``, made on first use."""
+    global _bytecode_parent
+    if _bytecode_parent is None:
+        try:
+            parent = tempfile.mkdtemp(prefix="meterpipe-")
+        except OSError as exc:
+            where = f" in {os.path.dirname(exc.filename)}" if exc.filename else ""
+            raise DataError(
+                f"cannot prepare tool bytecode{where}: {exc.strerror}"
+            ) from exc
+        atexit.register(shutil.rmtree, parent, ignore_errors=True)
+        dst = os.path.join(parent, "meterpipe")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _COMPILE, _PACKAGE_DIR, dst],
+            stderr=subprocess.PIPE,
+        )
+        if proc.returncode != 0:
+            shutil.rmtree(parent, ignore_errors=True)
+            reason = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
+            raise DataError(f"cannot prepare tool bytecode in {parent}: {reason}")
+        _bytecode_parent = parent
+    return _bytecode_parent
 
 
 def _tool(name, *args):
@@ -132,8 +178,9 @@ def _run_stage(commands, out_paths, feed_paths=None):
     names that output's temp file instead (cjoin1's ``--reject``).  Every
     output is renamed into place only after every tool exits 0; otherwise
     every temp file is removed.  ``feed_paths`` are streamed into the first
-    command's stdin.
+    command's stdin.  LAUNCHER is replaced by the compiled package's launcher.
     """
+    renamed = {LAUNCHER: _launcher(_compiled_parent())}
     tmps = []
     procs = []
     try:
@@ -145,7 +192,7 @@ def _run_stage(commands, out_paths, feed_paths=None):
             )
         for tmp in tmps[1:]:
             tmp.close()  # the tools open these by name
-        renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
+        renamed.update((path, tmp.name) for path, tmp in zip(out_paths, tmps))
         first_stdin = subprocess.DEVNULL if feed_paths is None else subprocess.PIPE
         for i, argv in enumerate(commands):
             procs.append(

@@ -187,6 +187,28 @@ class TestCjoinCli:
         assert lines(out.stdout) == [VALID_HEAD_ROWS[0]]
         assert (tmp_path / "rej").read_text() == "x no match 1\n"
 
+    @pytest.mark.parametrize("bad", ["٣", " 3", "+3", "3_0"])
+    def test_a_descriptor_that_is_not_ascii_digits_is_named(self, tmp_path, bad):
+        # Descriptor 3 is open, so only the parse can refuse these targets.
+        master = self.make_master(tmp_path)
+        txn = tmp_path / "txn"
+        txn.write_text("x no match 1\n")
+        out = subprocess.run(
+            [
+                "bash",
+                "-c",
+                f'"{sys.executable}" -m meterpipe cjoin1 --reject "&{bad}" key=2 '
+                f'"{master}" "{txn}" 3> "{tmp_path}/rej"',
+            ],
+            capture_output=True,
+        )
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert lines(out.stderr) == [
+            f"cjoin1: bad reject target '&{bad}': expected &N or a path"
+        ]
+        assert (tmp_path / "rej").read_text() == ""
+
     def test_discarded_rejects_warn_on_stderr(self, tmp_path):
         master = self.make_master(tmp_path)
         proc = run_tool("cjoin1", "key=2", str(master), stdin=b"a unknown b\n")
@@ -349,42 +371,53 @@ class TestDispatcher:
 
 
 class TestToolStartup:
-    def test_tool_modules_do_not_import_re(self):
-        # Every stage tool starts as a fresh "python -S" process; re and its
-        # compiled patterns would add to every start.
-        import meterpipe
+    """Start-up guards, on the path the orchestrator starts tools by: under
+    ``python -S``, from the bytecode that ``pipeline._run_stage`` loads."""
 
-        parent = str(Path(meterpipe.__file__).resolve().parents[1])
+    def test_tool_modules_do_not_import_re(self):
+        # re and its compiled patterns would add to every tool start.
+        import meterpipe.core
+        from meterpipe.pipeline import _compiled_parent
+
+        parent = _compiled_parent()
         code = (
             f"import sys; sys.path.insert(0, {parent!r}); "
             "import meterpipe.__main__, meterpipe.tabular, meterpipe.join, "
-            "meterpipe.sortagg, meterpipe.xmlflat; print('re' in sys.modules)"
+            "meterpipe.sortagg, meterpipe.xmlflat; print('re' in sys.modules); "
+            "print(meterpipe.core.__spec__.origin); "
+            "print(meterpipe.core.split_fields.__code__.co_filename)"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        # Loaded from the bytecode, which still names the source file.
+        assert proc.stdout.splitlines() == [
+            "False",
+            f"{parent}/meterpipe/core.pyc",
+            meterpipe.core.__file__,
+        ]
 
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
-    def test_only_sm2_imports_decimal(self, tool, tmp_path):
+    def test_only_sm2_imports_decimal(self, tool, tmp_path, capfd):
         # decimal costs several ms per start, and only sm2 sums.
-        from meterpipe.pipeline import _tool
+        from meterpipe.pipeline import _run_stage, _tool
 
         master = tmp_path / "master"
         master.write_text("\n".join(MASTER_ROWS) + "\n")
         args = [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
-        one_row = {"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n")
+        one_row = tmp_path / "row"
+        one_row.write_text({"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n"))
         argv = _tool(tool, *args)
-        proc = subprocess.run(
-            [argv[0], "-X", "importtime", *argv[1:]],
-            input=one_row.encode(),
-            capture_output=True,
+        capfd.readouterr()
+        _run_stage(
+            [[argv[0], "-X", "importtime", *argv[1:]]],
+            [str(tmp_path / "out")],
+            feed_paths=[one_row],
         )
-        assert proc.returncode == 0, proc.stderr
         imports = [
             line.rpartition("|")[2].strip()
-            for line in proc.stderr.decode().splitlines()
+            for line in capfd.readouterr().err.splitlines()
             if line.startswith("import time:")
         ]
         assert "meterpipe.core" in imports

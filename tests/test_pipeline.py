@@ -1,4 +1,8 @@
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,6 +14,7 @@ from conftest import (
     SAMPLE_XML,
     make_pipeline_config,
 )
+from meterpipe import pipeline
 from meterpipe.core import DataError, UsageError
 from meterpipe.generator import GeneratorConfig, generate_corpus, load_sidecar
 from meterpipe.pipeline import (
@@ -212,6 +217,117 @@ class TestToolLauncher:
         config = make_pipeline_config(tmp_path, readings, master)
         stage_parse(config)
         assert read_lines(config.parsed_file) == SAMPLE_PARSED_ROWS
+
+
+def write_config(tmp_path, readings, master):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+        f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+        f"master_path={master}\n"
+    )
+    return str(cfg)
+
+
+class TestToolBytecode:
+    """Tools load meterpipe from bytecode compiled once per orchestrator."""
+
+    @pytest.fixture
+    def fresh(self, tmp_path, monkeypatch):
+        """A private temporary directory, and no bytecode compiled yet."""
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(pipeline, "_bytecode_parent", None)
+        return tmp
+
+    def test_a_started_tool_imports_the_compiled_core(self, tmp_path, capfd):
+        rows = tmp_path / "rows"
+        rows.write_text("K a 1\n")
+        argv = pipeline._tool("self", "1")
+        capfd.readouterr()
+        pipeline._run_stage(
+            [[argv[0], "-v", *argv[1:]]], [str(tmp_path / "out")], feed_paths=[rows]
+        )
+        trace = capfd.readouterr().err.splitlines()
+        core = os.path.join(pipeline._compiled_parent(), "meterpipe", "core.pyc")
+        assert f"# code object from {core!r}" in trace
+        assert any(
+            line.startswith("import 'meterpipe.core' # ")
+            and "SourcelessFileLoader" in line
+            for line in trace
+        )
+        assert (tmp_path / "out").read_text() == "K\n"
+
+    def test_every_module_is_compiled_once_into_the_temporary_directory(
+        self, tmp_path, sample_dir, fresh
+    ):
+        readings, master = sample_dir
+        config = make_pipeline_config(tmp_path, readings, master)
+        run_single(config)
+        run_single(config)
+        (made,) = fresh.iterdir()
+        sources = sorted(p.name for p in Path(pipeline._PACKAGE_DIR).glob("*.py"))
+        assert sorted(p.name for p in (made / "meterpipe").iterdir()) == [
+            name + "c" for name in sources
+        ]
+
+    def test_an_unusable_temporary_directory_is_a_one_line_data_error(
+        self, tmp_path, sample_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        monkeypatch.setattr(pipeline, "_bytecode_parent", None)
+        cfg = write_config(tmp_path, *sample_dir)
+        assert pipeline.main(["run", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"pipeline: cannot prepare tool bytecode in {tmp_path / 'missing'}: "
+            "No such file or directory"
+        ]
+        assert not (tmp_path / "p").exists()
+
+    def test_a_failed_compile_is_a_one_line_data_error(
+        self, tmp_path, sample_dir, fresh, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "_COMPILE", "raise SystemExit('no compiler')")
+        cfg = write_config(tmp_path, *sample_dir)
+        assert pipeline.main(["run", "--config", cfg]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"pipeline: cannot prepare tool bytecode in {fresh}/")
+        assert line.endswith(": no compiler")
+        assert list(fresh.iterdir()) == []
+        assert not (tmp_path / "p").exists()
+
+    def test_a_run_leaves_its_temporary_directory_empty(self, tmp_path, sample_dir):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "run",
+             "--config", write_config(tmp_path, *sample_dir)],
+            capture_output=True,
+            env=dict(os.environ, TMPDIR=str(tmp)),
+        )
+        assert out.returncode == 0, out.stderr
+        assert list(tmp.iterdir()) == []
+
+    def test_nothing_is_written_beside_the_sources(self, tmp_path, sample_dir):
+        # A copy of the package, so that earlier imports cannot have left a
+        # __pycache__ in it.
+        package = tmp_path / "src" / "meterpipe"
+        shutil.copytree(
+            pipeline._PACKAGE_DIR, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        before = sorted(os.listdir(package))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", pipeline._launcher(str(package.parent)),
+             "pipeline", "run", "--config", write_config(tmp_path, *sample_dir)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        )
+        assert out.returncode == 0, out.stderr
+        assert sorted(os.listdir(package)) == before
+        assert read_lines(tmp_path / "v" / "ALL_VALID_READINGS") == SAMPLE_VALID_ROWS
 
 
 class TestFindXmlFiles:
