@@ -13,6 +13,7 @@ import atexit
 import datetime
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -50,6 +51,21 @@ class PipelineConfig:
         from .join import load_master
 
         load_master(input_rows(self.master_path))
+        seen = []
+        for batch in self.batch_dirs or ():
+            name = os.path.normpath(batch)
+            if os.path.isabs(name) or name.split(os.sep)[0] == os.pardir:
+                raise UsageError(
+                    f"batch {batch!r} is not a directory under {self.readings_dir}"
+                )
+            # A batch listed twice, or inside another, would be summed twice.
+            for other, other_name in seen:
+                if name == other_name:
+                    raise UsageError(f"batch {batch!r} repeats batch {other!r}")
+                outer, inner = sorted((name + os.sep, other_name + os.sep), key=len)
+                if outer == os.curdir + os.sep or inner.startswith(outer):
+                    raise UsageError(f"batches {other!r} and {batch!r} overlap")
+            seen.append((batch, name))
 
     def for_batch(self, batch):
         return PipelineConfig(
@@ -83,37 +99,34 @@ def load_config(path):
     missing = [k for k in (*_DIR_KEYS, "master_path") if k not in values]
     if missing:
         raise UsageError(f"config {path} is missing: {', '.join(missing)}")
-    batch_dirs = [b for b in values.pop("batch_dirs", "").split(",") if b]
+    batch_dirs = [b for b in map(str.strip, values.pop("batch_dirs", "").split(",")) if b]
     config = PipelineConfig(**values, batch_dirs=batch_dirs or None)
     config.validate()
     return config
 
 
-# Each tool starts as ``python -S -c LAUNCHER <tool> <args...>``.  -S skips
-# ``site`` (its .pth files can cost more than the tool's own imports) and
-# -c skips runpy; PYTHONPATH still applies.  The launcher puts the directory
-# holding this process's meterpipe package first on sys.path, so every tool
-# runs the orchestrator's own meterpipe, whatever the working directory.
+# Each stage starts one process, the stage runner
+# (``meterpipe.__main__.run_stage``), as ``python -S -c <launcher> <status fd>
+# <commands>``; it forks the stage's tools.  -S skips ``site`` (its .pth files
+# can cost more than the tools' own imports) and -c skips runpy; PYTHONPATH
+# still applies.  The launcher puts a private temporary directory first on
+# sys.path, so the runner runs the orchestrator's own meterpipe whatever the
+# working directory.  That directory holds the package as sourceless bytecode,
+# compiled once per process and removed at exit: no runner compiles meterpipe
+# from source, and nothing is written beside the sources.  The code objects
+# still name the source files, so tracebacks keep their lines.  The compile
+# runs in a child: a child's peak RSS starts at its parent's, so growing this
+# process would grow every tool's.
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
-_PACKAGE_PARENT = os.path.dirname(_PACKAGE_DIR)
 
 
-def _launcher(package_parent):
+def _launcher(package_parent, entry):
     return (
         f"import sys; sys.path.insert(0, {package_parent!r}); "
-        "from meterpipe.__main__ import main; sys.exit(main())"
+        f"from meterpipe.__main__ import {entry}; sys.exit({entry}())"
     )
 
 
-LAUNCHER = _launcher(_PACKAGE_PARENT)
-_TOOL_PREFIX = (sys.executable, "-S", "-c", LAUNCHER)
-
-# _run_stage swaps LAUNCHER for one that loads the package from sourceless
-# bytecode, compiled once per process into a private temporary directory that
-# is removed at exit, so no tool compiles meterpipe from source and nothing is
-# written beside the sources.  The code objects still name the source files,
-# so tracebacks keep their lines.  The compile runs in a child: a child's peak
-# RSS starts at its parent's, so growing this process would grow every tool's.
 _COMPILE = (
     "import os, py_compile, sys; src, dst = sys.argv[1:]; "
     "[py_compile.compile(os.path.join(src, n), os.path.join(dst, n + 'c'), "
@@ -147,12 +160,8 @@ def _compiled_parent():
     return _bytecode_parent
 
 
-def _tool(name, *args):
-    return [*_TOOL_PREFIX, name, *args]
-
-
 # Sum values per key: stage 3 over valid rows, and the batch re-aggregation.
-_AGGREGATE_TOOLS = (_tool("msort", "key=1"), _tool("sm2", "1", "1", "2", "2"))
+_AGGREGATE_TOOLS = (("msort", "key=1"), ("sm2", "1", "1", "2", "2"))
 
 
 def find_xml_files(root):
@@ -173,16 +182,20 @@ class StageError(DataError):
 def _run_stage(commands, out_paths, feed_paths=None):
     """Run commands as one OS pipeline and publish ``out_paths`` atomically.
 
-    Each output is written to a temp file beside it: the last command's
-    stdout goes to the first one, and an argument equal to an output path
-    names that output's temp file instead (cjoin1's ``--reject``).  Every
-    output is renamed into place only after every tool exits 0; otherwise
-    every temp file is removed.  ``feed_paths`` are streamed into the first
-    command's stdin.  LAUNCHER is replaced by the compiled package's launcher.
+    One stage runner process, in a process group of its own, forks the
+    tools and reports each one's exit status on a pipe.  Each output is
+    written to a temp file beside it: the last command's stdout goes to the
+    first one, and an argument equal to an output path names that output's
+    temp file instead (cjoin1's ``--reject``).  Every output is renamed
+    into place only after every tool exits 0; otherwise the stage is
+    stopped and every temp file is removed.  ``feed_paths`` are streamed
+    into the first command's stdin.  When this returns or raises, the
+    runner has reaped every tool and been reaped, so the tools' CPU time
+    and peak RSS count among this process's children.
     """
-    renamed = {LAUNCHER: _launcher(_compiled_parent())}
+    launcher = _launcher(_compiled_parent(), "run_stage")
     tmps = []
-    procs = []
+    runner = None
     try:
         for path in out_paths:
             directory = os.path.dirname(path) or "."
@@ -192,35 +205,47 @@ def _run_stage(commands, out_paths, feed_paths=None):
             )
         for tmp in tmps[1:]:
             tmp.close()  # the tools open these by name
-        renamed.update((path, tmp.name) for path, tmp in zip(out_paths, tmps))
-        first_stdin = subprocess.DEVNULL if feed_paths is None else subprocess.PIPE
-        for i, argv in enumerate(commands):
-            procs.append(
-                subprocess.Popen(
-                    [renamed.get(arg, arg) for arg in argv],
-                    stdin=procs[-1].stdout if procs else first_stdin,
-                    stdout=tmps[0] if i == len(commands) - 1 else subprocess.PIPE,
-                )
-            )
-        for prev in procs[:-1]:
-            prev.stdout.close()  # let SIGPIPE propagate between tools
-        if feed_paths is not None:
-            _feed(feed_paths, procs[0].stdin)
-        codes = [proc.wait() for proc in procs]
-        for argv, code in zip(commands, codes):
-            if code != 0:
-                tool = " ".join(argv[len(_TOOL_PREFIX):])
-                raise StageError(f"{tool} exited with status {code}")
-    except BaseException:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        if procs and procs[0].stdin:
+        renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
+        status_r, status_w = os.pipe()
+        argv = [sys.executable, "-S", "-c", launcher, str(status_w)]
+        for command in commands:
+            argv += [str(len(command)), *(renamed.get(arg, arg) for arg in command)]
+        with open(status_r, "rb") as status:
             try:
-                procs[0].stdin.close()  # after the kills, so no tool sees EOF
-            except BrokenPipeError:
-                pass
+                runner = subprocess.Popen(
+                    argv,
+                    stdin=subprocess.DEVNULL if feed_paths is None else subprocess.PIPE,
+                    stdout=tmps[0],
+                    pass_fds=(status_w,),
+                    start_new_session=True,
+                )
+            finally:
+                os.close(status_w)
+            if feed_paths is not None:
+                _feed(feed_paths, runner.stdin)
+            codes = [int(code) for code in status.read().split()]
+        runner.wait()
+        if len(codes) != len(commands):
+            names = " | ".join(command[0] for command in commands)
+            raise StageError(
+                f"stage runner of {names} exited with status {runner.returncode} "
+                "before it reported"
+            )
+        for command, code in zip(commands, codes):
+            if code != 0:
+                raise StageError(f"{' '.join(command)} exited with status {code}")
+    except BaseException:
+        if runner is not None:
+            try:  # the runner stops and reaps its tools, then exits
+                os.killpg(runner.pid, signal.SIGTERM)
+            except ProcessLookupError:
+                pass  # it reaped every tool and exited already
+            runner.wait()
+            if runner.stdin:
+                try:
+                    runner.stdin.close()  # after the stop, so no tool sees EOF
+                except BrokenPipeError:
+                    pass
         for tmp in tmps:
             tmp.close()
             os.unlink(tmp.name)
@@ -252,14 +277,14 @@ def stage_parse(config):
     if not files:
         raise DataError(f"no *.xml files under {config.readings_dir}")
     commands = [
-        _tool("xmldir", ELEMENT_PATH, "-"),
-        _tool("self", "NF-1", "NF"),
-        _tool("filter-tags"),
-        _tool("delr", "2", "MeterID"),
-        _tool("group-number"),
-        _tool("map", "num=1"),
-        _tool("delf", "1"),
-        _tool("delr", "3", "0"),
+        ("xmldir", ELEMENT_PATH, "-"),
+        ("self", "NF-1", "NF"),
+        ("filter-tags",),
+        ("delr", "2", "MeterID"),
+        ("group-number",),
+        ("map", "num=1"),
+        ("delf", "1"),
+        ("delr", "3", "0"),
     ]
     _run_stage(commands, [config.parsed_file], feed_paths=files)
 
@@ -270,7 +295,7 @@ def stage_validate(config):
         raise UsageError(f"master file not found: {config.master_path}")
     if not os.path.isfile(config.parsed_file):
         raise UsageError(f"parsed file not found: {config.parsed_file}")
-    join = _tool(
+    join = (
         "cjoin1", "--reject", config.invalid_file,
         "key=2", config.master_path, config.parsed_file,
     )
@@ -281,7 +306,7 @@ def stage_aggregate(config):
     """Sum valid reading values per type into the aggregate file."""
     if not os.path.isfile(config.valid_file):
         raise UsageError(f"valid file not found: {config.valid_file}")
-    commands = [_tool("self", "3", "5", config.valid_file), *_AGGREGATE_TOOLS]
+    commands = [("self", "3", "5", config.valid_file), *_AGGREGATE_TOOLS]
     _run_stage(commands, [config.aggregate_file])
 
 

@@ -399,21 +399,21 @@ class TestToolStartup:
         ]
 
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
-    def test_only_sm2_imports_decimal(self, tool, tmp_path, capfd):
+    def test_only_sm2_imports_decimal(self, tool, tmp_path, capfd, monkeypatch):
         # decimal costs several ms per start, and only sm2 sums.
-        from meterpipe.pipeline import _run_stage, _tool
+        from meterpipe.pipeline import _compiled_parent, _run_stage
 
         master = tmp_path / "master"
         master.write_text("\n".join(MASTER_ROWS) + "\n")
         args = [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
         one_row = tmp_path / "row"
         one_row.write_text({"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n"))
-        argv = _tool(tool, *args)
+        _compiled_parent()
+        # As -X importtime, for the stage runner and the tools it forks.
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
         capfd.readouterr()
         _run_stage(
-            [[argv[0], "-X", "importtime", *argv[1:]]],
-            [str(tmp_path / "out")],
-            feed_paths=[one_row],
+            [(tool, *args), ("self", "1")], [str(tmp_path / "out")], feed_paths=[one_row]
         )
         imports = [
             line.rpartition("|")[2].strip()

@@ -1,5 +1,7 @@
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -88,6 +90,66 @@ class TestConfig:
         )
         with pytest.raises(UsageError, match=f"{cfg_file}:6: unknown key 'batch_dir'"):
             load_config(str(cfg_file))
+
+
+def write_config(tmp_path, readings, master, batch_dirs=None):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+        f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+        f"master_path={master}\n"
+        + ("" if batch_dirs is None else f"batch_dirs={batch_dirs}\n")
+    )
+    return str(cfg)
+
+
+class TestBatchNames:
+    """Each batch names its own directory under readings_dir, so no
+    reading is summed twice and no output lands outside the output dirs."""
+
+    def test_items_are_stripped(self, tmp_path, sample_dir):
+        config = load_config(write_config(tmp_path, *sample_dir, " b1 ,b2, "))
+        assert config.batch_dirs == ["b1", "b2"]
+
+    @pytest.mark.parametrize(
+        "batch_dirs, message",
+        [
+            ("b1,b1", "batch 'b1' repeats batch 'b1'"),
+            ("b1,./b1", "batch './b1' repeats batch 'b1'"),
+            ("b1, b1", "batch 'b1' repeats batch 'b1'"),
+            ("b1,b2/../b1/", "batch 'b2/../b1/' repeats batch 'b1'"),
+            ("b1,b1/sub", "batches 'b1' and 'b1/sub' overlap"),
+            ("b1/sub,b1", "batches 'b1/sub' and 'b1' overlap"),
+            ("b1,.", "batches 'b1' and '.' overlap"),
+        ],
+    )
+    def test_a_batch_counted_twice_is_a_usage_error(
+        self, tmp_path, sample_dir, batch_dirs, message
+    ):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, *sample_dir, batch_dirs))
+
+    @pytest.mark.parametrize("batch", ["/abs/b1", "..", "../b1", "b1/../../b1"])
+    def test_a_batch_outside_readings_dir_is_a_usage_error(
+        self, tmp_path, sample_dir, batch
+    ):
+        readings, master = sample_dir
+        with pytest.raises(
+            UsageError, match=f"^batch {re.escape(repr(batch))} is not a directory under "
+        ):
+            load_config(write_config(tmp_path, readings, master, f"b0,{batch}"))
+
+    def test_a_repeated_batch_fails_the_run_and_writes_nothing(self, tmp_path):
+        config, _ = generated_config(tmp_path / "src", files=6, ratio=0.0)
+        root = tmp_path / "r"
+        shutil.copytree(config.readings_dir, root / "b1")
+        cfg = write_config(tmp_path, root, root / "b1" / "READING_TYPE_CONVERTER", "b1,./b1")
+        assert pipeline.main(["run", "--config", cfg]) == 1
+        assert not (tmp_path / "p").exists()
+        assert not (tmp_path / "c").exists()
+        assert sorted(p.name for p in (root / "b1").iterdir()) == sorted(
+            os.listdir(config.readings_dir)
+        )
 
 
 class TestGoldenStages:
@@ -219,16 +281,6 @@ class TestToolLauncher:
         assert read_lines(config.parsed_file) == SAMPLE_PARSED_ROWS
 
 
-def write_config(tmp_path, readings, master):
-    cfg = tmp_path / "cfg"
-    cfg.write_text(
-        f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
-        f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
-        f"master_path={master}\n"
-    )
-    return str(cfg)
-
-
 class TestToolBytecode:
     """Tools load meterpipe from bytecode compiled once per orchestrator."""
 
@@ -241,16 +293,18 @@ class TestToolBytecode:
         monkeypatch.setattr(pipeline, "_bytecode_parent", None)
         return tmp
 
-    def test_a_started_tool_imports_the_compiled_core(self, tmp_path, capfd):
+    def test_a_started_tool_imports_the_compiled_core(
+        self, tmp_path, capfd, monkeypatch
+    ):
         rows = tmp_path / "rows"
         rows.write_text("K a 1\n")
-        argv = pipeline._tool("self", "1")
+        core = os.path.join(pipeline._compiled_parent(), "meterpipe", "core.pyc")
+        monkeypatch.setenv("PYTHONVERBOSE", "1")  # as -v, for the stage runner
         capfd.readouterr()
         pipeline._run_stage(
-            [[argv[0], "-v", *argv[1:]]], [str(tmp_path / "out")], feed_paths=[rows]
+            [("self", "1"), ("self", "1")], [str(tmp_path / "out")], feed_paths=[rows]
         )
         trace = capfd.readouterr().err.splitlines()
-        core = os.path.join(pipeline._compiled_parent(), "meterpipe", "core.pyc")
         assert f"# code object from {core!r}" in trace
         assert any(
             line.startswith("import 'meterpipe.core' # ")
@@ -320,7 +374,7 @@ class TestToolBytecode:
         )
         before = sorted(os.listdir(package))
         out = subprocess.run(
-            [sys.executable, "-S", "-c", pipeline._launcher(str(package.parent)),
+            [sys.executable, "-S", "-c", pipeline._launcher(str(package.parent), "main"),
              "pipeline", "run", "--config", write_config(tmp_path, *sample_dir)],
             capture_output=True,
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
@@ -328,6 +382,150 @@ class TestToolBytecode:
         assert out.returncode == 0, out.stderr
         assert sorted(os.listdir(package)) == before
         assert read_lines(tmp_path / "v" / "ALL_VALID_READINGS") == SAMPLE_VALID_ROWS
+
+
+# Tools that misbehave on purpose, for the stage runner's fault paths.
+FAULT_TOOLS = """
+import os, signal, sys
+
+def boom(argv):
+    sys.stdout.write(sys.stdin.read())
+    raise RuntimeError("boom")
+
+def tee(argv):
+    rows = sys.stdin.read()
+    with open(argv[0], "a") as log:
+        log.write(rows)
+    sys.stdout.write(rows)
+    return 0
+
+def die(argv):
+    os.kill(os.getpid(), getattr(signal, "SIG" + argv[0]))
+"""
+
+
+class TestStageRunner:
+    """One runner process per stage forks the tools; however a stage fails,
+    no process of it survives _run_stage."""
+
+    @pytest.fixture
+    def runners(self, monkeypatch):
+        """The runner of every stage started from here on."""
+        pipeline._compiled_parent()
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return started
+
+    @pytest.fixture
+    def fault_tools(self, tmp_path, monkeypatch):
+        """Stage runners that also know the tools of FAULT_TOOLS by name."""
+        faults = tmp_path / "faults"
+        faults.mkdir()
+        (faults / "faults.py").write_text(FAULT_TOOLS)
+
+        def launcher(package_parent, entry):
+            return (
+                f"import sys; sys.path[:0] = [{package_parent!r}, {str(faults)!r}]; "
+                "import meterpipe.__main__ as m; "
+                "m._TOOLS.update((n, ('faults', n)) for n in ('boom', 'tee', 'die')); "
+                f"sys.exit(m.{entry}())"
+            )
+
+        monkeypatch.setattr(pipeline, "_launcher", launcher)
+
+    @staticmethod
+    def assert_gone(runner):
+        with pytest.raises(ProcessLookupError):
+            os.killpg(runner.pid, 0)
+
+    def test_a_failing_middle_tool_is_named_and_stops_the_stage(self, tmp_path, runners):
+        rows = tmp_path / "rows"
+        rows.write_text("a b\n")
+        out = tmp_path / "out" / "file"
+        commands = [("self", "1", "2"), ("self", "9"), ("self", "1")]
+        with pytest.raises(StageError, match="^self 9 exited with status 2$"):
+            pipeline._run_stage(commands, [str(out)], feed_paths=[rows])
+        assert list(out.parent.iterdir()) == []
+        (runner,) = runners
+        self.assert_gone(runner)
+
+    def test_a_last_tool_that_stops_early_does_not_block_the_others(
+        self, tmp_path, runners
+    ):
+        # More rows than a pipe holds: the tools upstream of one that fails
+        # before reading must see a closed pipe, not a full one.
+        rows = tmp_path / "rows"
+        rows.write_text("a b\n" * 100_000)
+        out = tmp_path / "out"
+        commands = [("self", "1", "2"), ("self", "1"), ("self", "0")]
+        with pytest.raises(StageError, match="^self 0 exited with status 1$"):
+            pipeline._run_stage(commands, [str(out)], feed_paths=[rows])
+        self.assert_gone(runners[0])
+
+    def test_a_failed_feed_stops_the_stage(self, tmp_path, sample_dir, runners):
+        readings, master = sample_dir
+        # More than the pipes hold, so the tools are running when it fails.
+        (readings / "a.xml").write_text(SAMPLE_XML * 2000)
+        (readings / "zz.xml").symlink_to(tmp_path / "missing.xml")
+        config = make_pipeline_config(tmp_path, readings, master)
+        with pytest.raises(DataError, match="cannot read .*zz.xml: "):
+            stage_parse(config)
+        assert list(Path(config.parsed_dir).iterdir()) == []
+        (runner,) = runners
+        self.assert_gone(runner)
+
+    def test_a_tool_killed_by_a_signal_has_a_negative_status(
+        self, tmp_path, runners, fault_tools
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(StageError, match=f"^die TERM exited with status -{signal.SIGTERM}$"):
+            pipeline._run_stage([("die", "TERM"), ("self", "1")], [str(out)])
+        assert not out.exists()
+        self.assert_gone(runners[0])
+
+    def test_a_forked_tool_that_raises_exits_1_and_nothing_runs_twice(
+        self, tmp_path, runners, fault_tools, capfd
+    ):
+        rows = tmp_path / "rows"
+        rows.write_text("a 1\nb 2\n")
+        log = tmp_path / "log"
+        commands = [("self", "1", "2"), ("boom",), ("tee", str(log))]
+        capfd.readouterr()
+        with pytest.raises(StageError, match="^boom exited with status 1$"):
+            pipeline._run_stage(commands, [str(tmp_path / "out")], feed_paths=[rows])
+        err = capfd.readouterr().err
+        assert err.count("Traceback") == 1
+        assert err.rstrip().endswith("RuntimeError: boom")
+        assert log.read_text() == "a 1\nb 2\n"
+        self.assert_gone(runners[0])
+
+    def test_a_runner_that_dies_before_it_reports_is_a_stage_error(
+        self, tmp_path, runners, fault_tools
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(
+            StageError,
+            match=f"^stage runner of self \\| die exited with status -{signal.SIGKILL} "
+            "before it reported$",
+        ):
+            pipeline._run_stage([("self", "1"), ("die", "KILL")], [str(out)])
+        assert list(tmp_path.iterdir()) == [tmp_path / "faults"]
+
+    def test_each_stage_starts_one_runner(self, tmp_path, sample_dir, runners):
+        config = make_pipeline_config(tmp_path, *sample_dir)
+        run_single(config)
+        assert len(runners) == len(pipeline._STAGES)
+        assert read_lines(config.aggregate_file) == [
+            "TYPE01 16.3959",
+            "TYPE02 17.9735",
+            "TYPE03 17.8280",
+        ]
 
 
 class TestFindXmlFiles:
