@@ -51,6 +51,8 @@ def run_stage(argv=None):
     SIGTERM stops the stage (see ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
+    # Blocked by the orchestrator while it started this process.
+    _signal.pthread_sigmask(_signal.SIG_UNBLOCK, (_signal.SIGINT, _signal.SIGTERM))
     argv = sys.argv[1:] if argv is None else argv
     status_fd = int(argv[0])
     commands = []
@@ -62,6 +64,9 @@ def run_stage(argv=None):
     for name, *_ in commands:
         if name in _TOOLS:
             __import__(_TOOLS[name][0])
+    # The tools import only standard modules from here on (tempfile,
+    # decimal); those load from the standard library's own bytecode cache.
+    sys.pycache_prefix = None
     pids = []
     for command in commands[:-1]:
         read_end, write_end = os.pipe()

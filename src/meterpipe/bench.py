@@ -27,12 +27,12 @@ from .core import (
     format_decimal,
     parse_decimal,
     read_config,
-    run_tool,
 )
 from .generator import GeneratorConfig, MASTER_FILENAME, generate_corpus
 from .pipeline import (
     PipelineConfig,
     find_xml_files,
+    run_cli,
     stage_aggregate,
     stage_parse,
     stage_validate,
@@ -362,4 +362,4 @@ def main(argv=None):
             )
             print(format_volume(total))
 
-    return run_tool("bench", body)
+    return run_cli("bench", body)

@@ -10,7 +10,6 @@ dataclasses, no re.
 """
 
 import io
-import os
 import sys
 
 EXIT_OK = 0
@@ -100,14 +99,18 @@ def parse_fieldspec(text):
     return FieldSpec(ABSOLUTE, index)
 
 
+def field_position(spec, nfields):
+    """The 1-based position selected by ``spec`` in a row of ``nfields``
+    fields, or 0 when the row is too short to have it."""
+    pos = spec.index if spec.kind == ABSOLUTE else nfields - spec.index
+    return pos if 1 <= pos <= nfields else 0
+
+
 def resolve_field(spec, nfields, lineno=None):
     """Return the 1-based position selected by ``spec`` in a row of
     ``nfields`` fields, or raise a DataError naming the line."""
-    if spec.kind == ABSOLUTE:
-        pos = spec.index
-    else:
-        pos = nfields - spec.index
-    if pos < 1 or pos > nfields:
+    pos = field_position(spec, nfields)
+    if not pos:
         where = "" if lineno is None else f"line {lineno}: "
         raise DataError(
             f"{where}field {spec} does not exist in a {nfields}-field row"
@@ -241,13 +244,11 @@ def row_bytes(text):
 
 
 def scratch_file():
-    """An anonymous read/write text file for spills and spools, in
-    ``$METERPIPE_TMPDIR`` if set, else the system temporary directory."""
+    """An anonymous read/write text file for spills and spools, in the
+    system temporary directory (``$TMPDIR`` if set)."""
     import tempfile  # only tools that spill pay for the import
 
-    return tempfile.TemporaryFile(
-        "w+", dir=os.environ.get("METERPIPE_TMPDIR") or None, **_TEXT_KW
-    )
+    return tempfile.TemporaryFile("w+", **_TEXT_KW)
 
 
 def text_stdout():

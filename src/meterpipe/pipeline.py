@@ -106,58 +106,34 @@ def load_config(path):
 
 
 # Each stage starts one process, the stage runner
-# (``meterpipe.__main__.run_stage``), as ``python -S -c <launcher> <status fd>
-# <commands>``; it forks the stage's tools.  -S skips ``site`` (its .pth files
-# can cost more than the tools' own imports) and -c skips runpy; PYTHONPATH
-# still applies.  The launcher puts a private temporary directory first on
-# sys.path, so the runner runs the orchestrator's own meterpipe whatever the
-# working directory.  That directory holds the package as sourceless bytecode,
-# compiled once per process and removed at exit: no runner compiles meterpipe
-# from source, and nothing is written beside the sources.  The code objects
-# still name the source files, so tracebacks keep their lines.  The compile
-# runs in a child: a child's peak RSS starts at its parent's, so growing this
-# process would grow every tool's.
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
-
-
-def _launcher(package_parent, entry):
-    return (
-        f"import sys; sys.path.insert(0, {package_parent!r}); "
-        f"from meterpipe.__main__ import {entry}; sys.exit({entry}())"
-    )
-
-
-_COMPILE = (
-    "import os, py_compile, sys; src, dst = sys.argv[1:]; "
-    "[py_compile.compile(os.path.join(src, n), os.path.join(dst, n + 'c'), "
-    "doraise=True) for n in os.listdir(src) if n.endswith('.py')]"
+# (``meterpipe.__main__.run_stage``), as ``python -S -c LAUNCHER <cache dir>
+# <status fd> <commands>``; it forks the stage's tools.  -S skips ``site``
+# (its .pth files can cost more than the tools' own imports) and -c skips
+# runpy; PYTHONPATH still applies.  LAUNCHER runs the orchestrator's own
+# meterpipe and caches its bytecode in a private directory, made on first use
+# and removed at exit, even under PYTHONDONTWRITEBYTECODE; nothing is written
+# beside the sources.  (Under ``-X pycache_prefix`` the interpreter's own
+# start-up imports would miss the stdlib's cache.)
+LAUNCHER = (
+    "import sys; sys.dont_write_bytecode = False; "
+    "sys.pycache_prefix = sys.argv.pop(1); "
+    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r}); "
+    "from meterpipe.__main__ import run_stage; sys.exit(run_stage())"
 )
-_bytecode_parent = None
+_cache_dir = None
 
 
-def _compiled_parent():
-    """The directory holding the compiled ``meterpipe/``, made on first use."""
-    global _bytecode_parent
-    if _bytecode_parent is None:
+def _bytecode_cache():
+    """The stage runners' bytecode cache directory, made on first use."""
+    global _cache_dir
+    if _cache_dir is None:
         try:
-            parent = tempfile.mkdtemp(prefix="meterpipe-")
+            _cache_dir = tempfile.mkdtemp(prefix="meterpipe-")
         except OSError as exc:
             where = f" in {os.path.dirname(exc.filename)}" if exc.filename else ""
-            raise DataError(
-                f"cannot prepare tool bytecode{where}: {exc.strerror}"
-            ) from exc
-        atexit.register(shutil.rmtree, parent, ignore_errors=True)
-        dst = os.path.join(parent, "meterpipe")
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", _COMPILE, _PACKAGE_DIR, dst],
-            stderr=subprocess.PIPE,
-        )
-        if proc.returncode != 0:
-            shutil.rmtree(parent, ignore_errors=True)
-            reason = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
-            raise DataError(f"cannot prepare tool bytecode in {parent}: {reason}")
-        _bytecode_parent = parent
-    return _bytecode_parent
+            raise DataError(f"cannot prepare tool bytecode{where}: {exc.strerror}") from exc
+        atexit.register(shutil.rmtree, _cache_dir, ignore_errors=True)
+    return _cache_dir
 
 
 # Sum values per key: stage 3 over valid rows, and the batch re-aggregation.
@@ -193,7 +169,7 @@ def _run_stage(commands, out_paths, feed_paths=None):
     runner has reaped every tool and been reaped, so the tools' CPU time
     and peak RSS count among this process's children.
     """
-    launcher = _launcher(_compiled_parent(), "run_stage")
+    cache_dir = _bytecode_cache()
     tmps = []
     runner = None
     try:
@@ -207,10 +183,13 @@ def _run_stage(commands, out_paths, feed_paths=None):
             tmp.close()  # the tools open these by name
         renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
         status_r, status_w = os.pipe()
-        argv = [sys.executable, "-S", "-c", launcher, str(status_w)]
+        argv = [sys.executable, "-S", "-c", LAUNCHER, cache_dir, str(status_w)]
         for command in commands:
             argv += [str(len(command)), *(renamed.get(arg, arg) for arg in command)]
         with open(status_r, "rb") as status:
+            # SIGINT and SIGTERM wait until the runner is known, so that the
+            # cleanup below stops it; the runner unblocks them.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
             try:
                 runner = subprocess.Popen(
                     argv,
@@ -221,6 +200,7 @@ def _run_stage(commands, out_paths, feed_paths=None):
                 )
             finally:
                 os.close(status_w)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if feed_paths is not None:
                 _feed(feed_paths, runner.stdin)
             codes = [int(code) for code in status.read().split()]
@@ -360,6 +340,16 @@ def format_summary(reports):
 # --- CLI --------------------------------------------------------------------
 
 
+def run_cli(prog, body):
+    """``core.run_tool`` with SIGTERM as ``SystemExit(143)``, so a running
+    stage is stopped and cleaned up and the bytecode cache is removed."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        return run_tool(prog, body)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
@@ -427,4 +417,4 @@ def main(argv=None):
             stage = dict(_STAGES)[args.command]
             stage(config)
 
-    return run_tool("pipeline", body)
+    return run_cli("pipeline", body)

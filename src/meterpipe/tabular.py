@@ -6,6 +6,7 @@ import sys
 from .core import (
     DataError,
     UsageError,
+    field_position,
     input_rows,
     open_text_input,
     optional_file,
@@ -44,9 +45,8 @@ def delete_rows(spec, literal, rows):
     """
     for line in rows:
         fields = split_fields(line)
-        n = len(fields)
-        pos = spec.index if spec.kind == "absolute" else n - spec.index
-        if 1 <= pos <= n and fields[pos - 1] == literal:
+        pos = field_position(spec, len(fields))
+        if pos and fields[pos - 1] == literal:
             continue
         yield line
 

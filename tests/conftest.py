@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 
@@ -138,3 +139,23 @@ def make_pipeline_config(tmp_path, readings, master, batch_dirs=None):
         master_path=str(master),
         batch_dirs=batch_dirs,
     )
+
+
+def launcher_running(code):
+    """``pipeline.LAUNCHER`` with ``code`` in place of its call of the stage
+    runner: the same bytecode cache (the first argument) and sys.path."""
+    from meterpipe.pipeline import LAUNCHER
+
+    setup, found, _ = LAUNCHER.partition("from meterpipe.__main__ import run_stage")
+    assert found, LAUNCHER
+    return setup + code
+
+
+def cached_path(prefix, source):
+    """Where a runner whose bytecode cache is ``prefix`` caches ``source``."""
+    saved = sys.pycache_prefix
+    sys.pycache_prefix = str(prefix)
+    try:
+        return importlib.util.cache_from_source(source)
+    finally:
+        sys.pycache_prefix = saved

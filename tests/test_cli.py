@@ -12,6 +12,8 @@ from conftest import (
     SAMPLE_FLAT_ROWS,
     SAMPLE_XML,
     VALID_HEAD_ROWS,
+    cached_path,
+    launcher_running,
     run_tool,
 )
 
@@ -118,6 +120,15 @@ class TestRowToolsCli:
         proc = run_tool("map", "num=1", stdin=b"1 a x\n1 a y\n")
         assert proc.returncode == 2
         assert proc.stderr == b"map: line 2: duplicate cell (1, a)\n"
+
+    @pytest.mark.parametrize("variable", ["METERPIPE_TMPDIR", "TMPDIR"])
+    def test_map_spools_whatever_a_temporary_directory_variable_names(self, variable):
+        # map always spools; a missing $TMPDIR falls back to a usable directory,
+        # and METERPIPE_TMPDIR is not read.
+        env = dict(os.environ, **{variable: "/nonexistent"})
+        proc = run_tool("map", "num=1", stdin=b"1 a x\n", extra={"env": env})
+        assert proc.returncode == 0, proc.stderr
+        assert lines(proc.stdout) == ["1 x"]
 
     def test_map_rejects_other_key_counts(self):
         proc = run_tool("map", "num=2", stdin=b"")
@@ -261,12 +272,13 @@ class TestSortAggCli:
     def test_msort_spill_dir_env_is_honored(self, tmp_path):
         spill = tmp_path / "spills"
         spill.mkdir()
-        env = dict(os.environ, METERPIPE_TMPDIR=str(spill))
+        env = dict(os.environ, TMPDIR=str(spill))
         rows = "".join(f"k{i % 7} row{i}\n" for i in range(200)).encode()
         proc = run_tool(
             "msort", "key=1", "--mem", "64", stdin=rows, extra={"env": env}
         )
         assert proc.returncode == 0
+        assert proc.stdout == b"".join(sorted(rows.splitlines(True), key=lambda r: r[:2]))
 
     def test_sm2_sums_by_type(self):
         rows = b"TYPE01 1.5\nTYPE01 2.25\nTYPE02 3\n"
@@ -360,6 +372,7 @@ class TestDispatcher:
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert len(scripts) == 12
         assert scripts == {name: f"{mod}:{fn}" for name, (mod, fn) in _TOOLS.items()}
 
     def test_lists_tools(self):
@@ -372,43 +385,38 @@ class TestDispatcher:
 
 class TestToolStartup:
     """Start-up guards, on the path the orchestrator starts tools by: under
-    ``python -S``, from the bytecode that ``pipeline._run_stage`` loads."""
+    ``python -S``, through ``pipeline.LAUNCHER``."""
 
-    def test_tool_modules_do_not_import_re(self):
+    def test_tool_modules_do_not_import_re(self, tmp_path):
         # re and its compiled patterns would add to every tool start.
         import meterpipe.core
-        from meterpipe.pipeline import _compiled_parent
 
-        parent = _compiled_parent()
-        code = (
-            f"import sys; sys.path.insert(0, {parent!r}); "
+        code = launcher_running(
             "import meterpipe.__main__, meterpipe.tabular, meterpipe.join, "
             "meterpipe.sortagg, meterpipe.xmlflat; print('re' in sys.modules); "
-            "print(meterpipe.core.__spec__.origin); "
-            "print(meterpipe.core.split_fields.__code__.co_filename)"
+            "print(meterpipe.core.__spec__.origin); print(meterpipe.core.__cached__)"
         )
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True
+            [sys.executable, "-S", "-c", code, str(tmp_path)],
+            capture_output=True,
+            text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        # Loaded from the bytecode, which still names the source file.
-        assert proc.stdout.splitlines() == [
-            "False",
-            f"{parent}/meterpipe/core.pyc",
-            meterpipe.core.__file__,
-        ]
+        # Imported from the source, with its bytecode cached under the prefix.
+        core = meterpipe.core.__file__
+        assert proc.stdout.splitlines() == ["False", core, cached_path(tmp_path, core)]
+        assert os.path.isfile(cached_path(tmp_path, core))
 
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
     def test_only_sm2_imports_decimal(self, tool, tmp_path, capfd, monkeypatch):
         # decimal costs several ms per start, and only sm2 sums.
-        from meterpipe.pipeline import _compiled_parent, _run_stage
+        from meterpipe.pipeline import _run_stage
 
         master = tmp_path / "master"
         master.write_text("\n".join(MASTER_ROWS) + "\n")
         args = [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
         one_row = tmp_path / "row"
         one_row.write_text({"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n"))
-        _compiled_parent()
         # As -X importtime, for the stage runner and the tools it forks.
         monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
         capfd.readouterr()

@@ -13,6 +13,7 @@ from meterpipe.core import (
     UsageError,
     decimal_add,
     decimal_mul,
+    field_position,
     format_decimal,
     parse_decimal,
     parse_fieldspec,
@@ -86,6 +87,16 @@ class TestFieldSpec:
     def test_error_names_the_line(self):
         with pytest.raises(DataError, match="line 12"):
             resolve_field(FieldSpec(ABSOLUTE, 7), 4, lineno=12)
+
+    @pytest.mark.parametrize(
+        "text, nfields, pos",
+        [
+            ("3", 4, 3), ("7", 4, 0),
+            ("NF", 4, 4), ("NF-3", 4, 1), ("NF-4", 4, 0), ("NF", 0, 0),
+        ],
+    )
+    def test_field_position_is_0_for_a_row_too_short(self, text, nfields, pos):
+        assert field_position(parse_fieldspec(text), nfields) == pos
 
     @given(st.lists(st.text(alphabet="xy", min_size=1), min_size=1, max_size=8))
     def test_nf_resolves_to_field_count(self, fields):

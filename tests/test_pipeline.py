@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from conftest import (
     SAMPLE_PARSED_ROWS,
     SAMPLE_VALID_ROWS,
     SAMPLE_XML,
+    cached_path,
+    launcher_running,
     make_pipeline_config,
 )
 from meterpipe import pipeline
@@ -282,55 +285,57 @@ class TestToolLauncher:
 
 
 class TestToolBytecode:
-    """Tools load meterpipe from bytecode compiled once per orchestrator."""
+    """Stage runners import meterpipe from its sources and cache the bytecode
+    in a private directory, written once per orchestrator and removed at
+    exit."""
 
     @pytest.fixture
     def fresh(self, tmp_path, monkeypatch):
-        """A private temporary directory, and no bytecode compiled yet."""
+        """A private temporary directory, no bytecode cache made yet, and
+        PYTHONDONTWRITEBYTECODE set, which the runners must override."""
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        monkeypatch.setattr(pipeline, "_bytecode_parent", None)
+        monkeypatch.setattr(pipeline, "_cache_dir", None)
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
         return tmp
 
     def test_a_started_tool_imports_the_compiled_core(
-        self, tmp_path, capfd, monkeypatch
+        self, tmp_path, capfd, monkeypatch, fresh
     ):
         rows = tmp_path / "rows"
         rows.write_text("K a 1\n")
-        core = os.path.join(pipeline._compiled_parent(), "meterpipe", "core.pyc")
+        stage = ([("self", "1"), ("self", "1")], [str(tmp_path / "out")])
+        pipeline._run_stage(*stage, feed_paths=[rows])  # fills the cache
+        core = cached_path(pipeline._bytecode_cache(), sys.modules["meterpipe.core"].__file__)
         monkeypatch.setenv("PYTHONVERBOSE", "1")  # as -v, for the stage runner
         capfd.readouterr()
-        pipeline._run_stage(
-            [("self", "1"), ("self", "1")], [str(tmp_path / "out")], feed_paths=[rows]
-        )
-        trace = capfd.readouterr().err.splitlines()
-        assert f"# code object from {core!r}" in trace
-        assert any(
-            line.startswith("import 'meterpipe.core' # ")
-            and "SourcelessFileLoader" in line
-            for line in trace
-        )
+        pipeline._run_stage(*stage, feed_paths=[rows])
+        assert f"# code object from {core!r}" in capfd.readouterr().err.splitlines()
         assert (tmp_path / "out").read_text() == "K\n"
 
-    def test_every_module_is_compiled_once_into_the_temporary_directory(
+    def test_two_runs_cache_each_module_a_stage_imports_once(
         self, tmp_path, sample_dir, fresh
     ):
-        readings, master = sample_dir
-        config = make_pipeline_config(tmp_path, readings, master)
+        config = make_pipeline_config(tmp_path, *sample_dir)
         run_single(config)
+        (cache,) = fresh.iterdir()
+        package = Path(cached_path(cache, pipeline.__file__)).parent
+        mtimes = {p.name: p.stat().st_mtime_ns for p in package.iterdir()}
+        modules = ("__init__", "__main__", "core", "join", "sortagg", "tabular", "xmlflat")
+        tag = sys.implementation.cache_tag
+        assert sorted(mtimes) == [f"{name}.{tag}.pyc" for name in modules]
         run_single(config)
-        (made,) = fresh.iterdir()
-        sources = sorted(p.name for p in Path(pipeline._PACKAGE_DIR).glob("*.py"))
-        assert sorted(p.name for p in (made / "meterpipe").iterdir()) == [
-            name + "c" for name in sources
-        ]
+        assert {p.name: p.stat().st_mtime_ns for p in package.iterdir()} == mtimes
+        # map's spool imports tempfile after the runner's own imports; it
+        # loads from the standard library's cache, not into this one.
+        assert not list(cache.rglob("tempfile.*"))
 
     def test_an_unusable_temporary_directory_is_a_one_line_data_error(
         self, tmp_path, sample_dir, monkeypatch, capsys
     ):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        monkeypatch.setattr(pipeline, "_bytecode_parent", None)
+        monkeypatch.setattr(pipeline, "_cache_dir", None)
         cfg = write_config(tmp_path, *sample_dir)
         assert pipeline.main(["run", "--config", cfg]) == 2
         out, err = capsys.readouterr()
@@ -339,18 +344,6 @@ class TestToolBytecode:
             f"pipeline: cannot prepare tool bytecode in {tmp_path / 'missing'}: "
             "No such file or directory"
         ]
-        assert not (tmp_path / "p").exists()
-
-    def test_a_failed_compile_is_a_one_line_data_error(
-        self, tmp_path, sample_dir, fresh, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(pipeline, "_COMPILE", "raise SystemExit('no compiler')")
-        cfg = write_config(tmp_path, *sample_dir)
-        assert pipeline.main(["run", "--config", cfg]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"pipeline: cannot prepare tool bytecode in {fresh}/")
-        assert line.endswith(": no compiler")
-        assert list(fresh.iterdir()) == []
         assert not (tmp_path / "p").exists()
 
     def test_a_run_leaves_its_temporary_directory_empty(self, tmp_path, sample_dir):
@@ -370,18 +363,63 @@ class TestToolBytecode:
         # __pycache__ in it.
         package = tmp_path / "src" / "meterpipe"
         shutil.copytree(
-            pipeline._PACKAGE_DIR, package, ignore=shutil.ignore_patterns("__pycache__")
+            os.path.dirname(pipeline.__file__),
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
         before = sorted(os.listdir(package))
         out = subprocess.run(
-            [sys.executable, "-S", "-c", pipeline._launcher(str(package.parent), "main"),
-             "pipeline", "run", "--config", write_config(tmp_path, *sample_dir)],
+            [sys.executable, "-S", "-c",
+             f"import sys; sys.path.insert(0, {str(package.parent)!r}); "
+             "from meterpipe.pipeline import main; sys.exit(main())",
+             "run", "--config", write_config(tmp_path, *sample_dir)],
             capture_output=True,
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         )
         assert out.returncode == 0, out.stderr
         assert sorted(os.listdir(package)) == before
         assert read_lines(tmp_path / "v" / "ALL_VALID_READINGS") == SAMPLE_VALID_ROWS
+
+
+def processes_naming(text):
+    """The pids of the processes whose command line holds ``text``."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if text.encode() in f.read():
+                    found.append(pid)
+        except OSError:
+            pass  # it has exited
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
+    readings, master = sample_dir
+    # The orchestrator blocks opening this FIFO to feed it to the parse
+    # stage, whose runner and tools are started and waiting for input.
+    os.mkfifo(readings / "zz.xml")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    run = subprocess.Popen(
+        [sys.executable, "-m", "meterpipe", "pipeline", "run",
+         "--config", write_config(tmp_path, readings, master)],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, TMPDIR=str(tmp)),
+    )
+    parsed = tmp_path / "p"
+    deadline = time.monotonic() + 60
+    while not any(parsed.glob(".stage-*")):
+        assert run.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    run.send_signal(signal.SIGTERM)
+    _, err = run.communicate(timeout=60)
+    assert run.returncode == 128 + signal.SIGTERM, err
+    assert err == b""
+    assert list(parsed.iterdir()) == []
+    assert list(tmp.iterdir()) == []
+    assert processes_naming(str(tmp)) == []
 
 
 # Tools that misbehave on purpose, for the stage runner's fault paths.
@@ -411,7 +449,6 @@ class TestStageRunner:
     @pytest.fixture
     def runners(self, monkeypatch):
         """The runner of every stage started from here on."""
-        pipeline._compiled_parent()
         started = []
 
         class Recorded(subprocess.Popen):
@@ -429,15 +466,12 @@ class TestStageRunner:
         faults.mkdir()
         (faults / "faults.py").write_text(FAULT_TOOLS)
 
-        def launcher(package_parent, entry):
-            return (
-                f"import sys; sys.path[:0] = [{package_parent!r}, {str(faults)!r}]; "
-                "import meterpipe.__main__ as m; "
-                "m._TOOLS.update((n, ('faults', n)) for n in ('boom', 'tee', 'die')); "
-                f"sys.exit(m.{entry}())"
-            )
-
-        monkeypatch.setattr(pipeline, "_launcher", launcher)
+        launcher = launcher_running(
+            f"sys.path.append({str(faults)!r}); import meterpipe.__main__ as m; "
+            "m._TOOLS.update((n, ('faults', n)) for n in ('boom', 'tee', 'die')); "
+            "sys.exit(m.run_stage())"
+        )
+        monkeypatch.setattr(pipeline, "LAUNCHER", launcher)
 
     @staticmethod
     def assert_gone(runner):
