@@ -1,11 +1,12 @@
 """Busybox-style dispatcher: ``python -m meterpipe <tool> [args...]``.
 
 Lets the orchestrator and the benchmark harness spawn any tool without
-relying on installed console scripts being on PATH.  ``run_stage`` is the
-stage runner the orchestrator starts once per pipeline stage.
+relying on installed console scripts being on PATH.  ``serve`` is the
+stage runner the orchestrator starts once per pipeline run.
 """
 
 import _signal  # signal's functions without its enum import; already loaded
+import _socket
 import os
 import sys
 
@@ -40,33 +41,83 @@ def main(argv=None):
     return getattr(module, funcname)(argv[1:])
 
 
-def run_stage(argv=None):
-    """Run one pipeline stage: ``<status fd> (<n> <tool> <n-1 args>)...``.
+def serve(argv=None):
+    """The stage runner of one pipeline run: ``<socket fd>``.
 
-    The tools' modules are imported once, here.  Then each tool but the
-    last runs in a forked child, reading fd 0 and writing a pipe that
-    becomes the next tool's fd 0; the last tool runs in this process and
-    writes fd 1.  Once every child is reaped, one line of exit statuses,
-    in command order (negative for a signal), goes to the status fd.
-    SIGTERM stops the stage (see ``_stop``).
+    Each message on the socket is one stage: its commands, as
+    NUL-separated ``<n> <tool> <n-1 args>`` groups, and three fds (the
+    stage's stdin and stdout, and the write end of its status pipe).  The
+    runner imports the stage's tool modules, caching their bytecode under
+    the ``sys.pycache_prefix`` the launcher set, and forks a stage leader
+    that runs the stage (see ``run_stage``).  Once it has reaped the leader,
+    it sends the leader's exit status back.  It exits when the orchestrator
+    closes its end.  SIGTERM stops the runner and the stage (see ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
     # Blocked by the orchestrator while it started this process.
     _signal.pthread_sigmask(_signal.SIG_UNBLOCK, (_signal.SIGINT, _signal.SIGTERM))
     argv = sys.argv[1:] if argv is None else argv
-    status_fd = int(argv[0])
-    commands = []
-    rest = argv[1:]
-    while rest:
-        n = int(rest[0])
-        commands.append(rest[1 : n + 1])
-        rest = rest[n + 1 :]
-    for name, *_ in commands:
-        if name in _TOOLS:
-            __import__(_TOOLS[name][0])
-    # The tools import only standard modules from here on (tempfile,
-    # decimal); those load from the standard library's own bytecode cache.
-    sys.pycache_prefix = None
+    prefix = sys.pycache_prefix
+    # _socket, not socket: socket imports enum and selectors.
+    channel = _socket.socket(fileno=int(argv[0]))
+    while True:
+        # A stage's commands, paths and short arguments, fit in 64 KiB.
+        message, ancillary, _, _ = channel.recvmsg(1 << 16, _socket.CMSG_SPACE(3 * 4))
+        if not message:
+            return 0
+        ((_, _, data),) = ancillary
+        stdin, stdout, status_fd = (
+            int.from_bytes(data[i : i + 4], sys.byteorder, signed=True) for i in (0, 4, 8)
+        )
+        tokens = [os.fsdecode(token) for token in message.split(b"\0")]
+        commands = []
+        while tokens:
+            n = int(tokens[0])
+            commands.append(tokens[1 : n + 1])
+            tokens = tokens[n + 1 :]
+        # The tools import only standard modules after this (tempfile,
+        # decimal); those load from the standard library's own bytecode
+        # cache, so the prefix is set around these imports alone.
+        sys.pycache_prefix = prefix
+        for name, *_ in commands:
+            if name in _TOOLS:
+                __import__(_TOOLS[name][0])
+        sys.pycache_prefix = None
+        sys.stderr.flush()  # or the leader writes it again
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:  # the leader never returns into this loop
+                channel.close()
+                os.dup2(stdin, 0)
+                os.dup2(stdout, 1)
+                os.close(stdin)
+                os.close(stdout)
+                run_stage(commands, status_fd)
+                code = 0
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+            finally:
+                sys.stderr.flush()
+                os._exit(code)
+        for fd in (stdin, stdout, status_fd):
+            os.close(fd)
+        status = os.wait4(pid, 0)[1]
+        try:
+            channel.send(str(os.waitstatus_to_exitcode(status)).encode())
+        except OSError:
+            return 1  # the orchestrator has gone
+
+
+def run_stage(commands, status_fd):
+    """Run one pipeline stage over fds 0 and 1.
+
+    Each tool but the last runs in a forked child, reading fd 0 and writing
+    a pipe that becomes the next tool's fd 0; the last tool runs in this
+    process and writes fd 1.  Once every child is reaped, one line of exit
+    statuses, in command order (negative for a signal), goes to
+    ``status_fd``.
+    """
     pids = []
     for command in commands[:-1]:
         read_end, write_end = os.pipe()
@@ -89,13 +140,13 @@ def run_stage(argv=None):
     os.close(0)  # an upstream tool still writing gets EPIPE, not a full pipe
     codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     os.write(status_fd, " ".join(map(str, [*codes, last])).encode() + b"\n")
-    return 0
 
 
 def _stop(signum, frame):
-    """Stop every tool of the stage and reap it, then exit.  The orchestrator
-    sends SIGTERM to the stage's process group and waits for this process
-    alone, so no tool outlives the stage or leaves its usage unaccounted."""
+    """Stop every process of the stage and reap it, then exit.  The
+    orchestrator sends SIGTERM to the runner's process group and waits for
+    the runner alone; the runner reaps the stage leader, and the leader its
+    tools, so no tool outlives the run or leaves its usage unaccounted."""
     _signal.signal(signum, _signal.SIG_IGN)
     os.killpg(0, signum)  # again, for a tool forked as the first one came
     while True:

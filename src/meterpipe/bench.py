@@ -190,17 +190,21 @@ def run_bench(config, out_path):
     rows = []
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(CSV_COLUMNS)
-            out.flush()
             try:
+                writer = csv.writer(out)
+                writer.writerow(CSV_COLUMNS)
+                out.flush()
                 for file_count in config.file_counts:
                     for row in _bench_one(config, workdir, file_count):
                         rows.append(row)
                         writer.writerow(row)
                         out.flush()
-            except Exception as exc:
-                out.write(f"# aborted: {exc}\n")
+            except BaseException as exc:  # SIGTERM's SystemExit included
+                if isinstance(exc, SystemExit):
+                    reason = f"exit status {exc.code}"
+                else:
+                    reason = str(exc) or type(exc).__name__
+                out.write(f"# aborted: {reason}\n")
                 raise
     finally:
         if own_workdir:

@@ -10,10 +10,12 @@ renamed, leaving no partial files behind on failure.
 
 import argparse
 import atexit
+import contextlib
 import datetime
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -105,35 +107,70 @@ def load_config(path):
     return config
 
 
-# Each stage starts one process, the stage runner
-# (``meterpipe.__main__.run_stage``), as ``python -S -c LAUNCHER <cache dir>
-# <status fd> <commands>``; it forks the stage's tools.  -S skips ``site``
-# (its .pth files can cost more than the tools' own imports) and -c skips
-# runpy; PYTHONPATH still applies.  LAUNCHER runs the orchestrator's own
-# meterpipe and caches its bytecode in a private directory, made on first use
-# and removed at exit, even under PYTHONDONTWRITEBYTECODE; nothing is written
-# beside the sources.  (Under ``-X pycache_prefix`` the interpreter's own
-# start-up imports would miss the stdlib's cache.)
+# A pipeline run starts one process, the stage runner
+# (``meterpipe.__main__.serve``), as ``python -S -c LAUNCHER <cache dir>
+# <socket fd>``, and sends it every stage; it forks a leader per stage, which
+# forks the stage's tools.  -S skips ``site`` (its .pth files can cost more
+# than the tools' own imports) and -c skips runpy; PYTHONPATH still applies.
+# LAUNCHER runs the orchestrator's own meterpipe and caches its bytecode in a
+# private directory, made on first use and removed at exit, even under
+# PYTHONDONTWRITEBYTECODE; nothing is written beside the sources.  (Under
+# ``-X pycache_prefix`` the interpreter's own start-up imports would miss the
+# stdlib's cache.)
 LAUNCHER = (
     "import sys; sys.dont_write_bytecode = False; "
     "sys.pycache_prefix = sys.argv.pop(1); "
     f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r}); "
-    "from meterpipe.__main__ import run_stage; sys.exit(run_stage())"
+    "from meterpipe.__main__ import serve; sys.exit(serve())"
 )
+_CACHE_PREFIX = "meterpipe-"
 _cache_dir = None
 
 
 def _bytecode_cache():
-    """The stage runners' bytecode cache directory, made on first use."""
+    """The stage runners' bytecode cache directory, made on first use.
+
+    Its name holds this process's pid.  A sibling whose owner no longer
+    exists (an orchestrator killed by SIGKILL) is removed here.
+    """
     global _cache_dir
     if _cache_dir is None:
         try:
-            _cache_dir = tempfile.mkdtemp(prefix="meterpipe-")
+            _cache_dir = tempfile.mkdtemp(prefix=f"{_CACHE_PREFIX}{os.getpid()}-")
         except OSError as exc:
             where = f" in {os.path.dirname(exc.filename)}" if exc.filename else ""
             raise DataError(f"cannot prepare tool bytecode{where}: {exc.strerror}") from exc
         atexit.register(shutil.rmtree, _cache_dir, ignore_errors=True)
+        _remove_stale_caches(os.path.dirname(_cache_dir))
     return _cache_dir
+
+
+def _remove_stale_caches(directory):
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            name = entry.name
+            if not name.startswith(_CACHE_PREFIX):
+                continue
+            pid = name[len(_CACHE_PREFIX) :].partition("-")[0]
+            if not (pid.isascii() and pid.isdigit()) or not entry.is_dir(follow_symlinks=False):
+                continue
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                shutil.rmtree(entry.path, ignore_errors=True)
+            except OSError:
+                pass  # it exists, but belongs to someone else
+
+
+def _read_umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# Published outputs get the mode a shell redirection would give them; the
+# temp files they are renamed from are created 0600.
+_OUTPUT_MODE = 0o666 & ~_read_umask()
 
 
 # Sum values per key: stage 3 over valid rows, and the batch re-aggregation.
@@ -155,84 +192,185 @@ class StageError(DataError):
     """A tool in a stage pipeline exited nonzero."""
 
 
-def _run_stage(commands, out_paths, feed_paths=None):
+class StageRunner:
+    """The stage runner of one pipeline run, as a context manager.
+
+    The runner process starts at the first stage sent to it.  It is the
+    leader of a process group of its own, and forks a leader for each stage,
+    which forks the stage's tools.  On leaving the block the runner is ended
+    and reaped: on success by closing its channel, on an exception by
+    SIGTERM to its group.  Only then do the tools' CPU time and peak RSS
+    count among this process's children.
+    """
+
+    def __init__(self):
+        self.proc = None
+        self.channel = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(stop=exc_type is not None)
+
+    def start(self):
+        """Start the runner process, unless it is running."""
+        if self.proc is not None:
+            return
+        cache_dir = _bytecode_cache()
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        # The runner must be known before a signal can stop the run, so
+        # that close() stops it too; the runner unblocks the signals.
+        with theirs, _signals_held():
+            try:
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-S", "-c", LAUNCHER, cache_dir, str(theirs.fileno())],
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL,
+                    pass_fds=(theirs.fileno(),),
+                    start_new_session=True,
+                )
+            except BaseException:
+                ours.close()
+                raise
+            self.channel = ours
+
+    def send(self, commands, fds):
+        """Send one stage: its commands, and its stdin, stdout and status fds."""
+        tokens = []
+        for command in commands:
+            tokens += [str(len(command)), *command]
+        socket.send_fds(self.channel, [b"\0".join(map(os.fsencode, tokens))], fds)
+
+    def reply(self):
+        """The exit status of the stage's leader, once the runner has reaped
+        it; None if the runner has exited."""
+        try:
+            reply = self.channel.recv(32)
+        except ConnectionResetError:  # it exited with the stage unread
+            return None
+        return int(reply) if reply else None
+
+    def close(self, stop=False):
+        """End the runner and reap it: by closing its channel, or, with
+        ``stop`` or if the wait is interrupted, by SIGTERM to its group."""
+        if self.proc is None:
+            return
+        try:
+            self.channel.close()
+            if not stop:
+                self.proc.wait()
+        finally:
+            # Also after the runner exits: a stage leader it did not reap
+            # (the runner was killed) is still in its group.
+            if stop or self.proc.returncode is None:
+                try:  # the runner stops and reaps the stage, then exits
+                    os.killpg(self.proc.pid, signal.SIGTERM)
+                except ProcessLookupError:
+                    pass  # it reaped every process and exited already
+                self.proc.wait()
+            self.proc = None
+
+
+def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
     """Run commands as one OS pipeline and publish ``out_paths`` atomically.
 
-    One stage runner process, in a process group of its own, forks the
-    tools and reports each one's exit status on a pipe.  Each output is
-    written to a temp file beside it: the last command's stdout goes to the
-    first one, and an argument equal to an output path names that output's
-    temp file instead (cjoin1's ``--reject``).  Every output is renamed
-    into place only after every tool exits 0; otherwise the stage is
-    stopped and every temp file is removed.  ``feed_paths`` are streamed
-    into the first command's stdin.  When this returns or raises, the
-    runner has reaped every tool and been reaped, so the tools' CPU time
-    and peak RSS count among this process's children.
+    ``runner`` (a started-or-not ``StageRunner``; by default one of its own)
+    forks a stage leader, which forks the tools and reports each one's exit
+    status on a pipe.  Each output is written to a temp file beside it: the
+    last command's stdout goes to the first one, and an argument equal to an
+    output path names that output's temp file instead (cjoin1's
+    ``--reject``).  Every output is renamed into place, with the mode a
+    shell redirection would give it, only after every tool exits 0;
+    otherwise the runner is stopped and every temp file is removed.
+    ``feed_paths`` are streamed into the first command's stdin.  The tools'
+    CPU time and peak RSS count among this process's children once the
+    runner is reaped, at the end of the run.
     """
-    cache_dir = _bytecode_cache()
+    if runner is None:
+        with StageRunner() as runner:
+            return _run_stage(commands, out_paths, feed_paths, runner=runner)
+    runner.start()
     tmps = []
-    runner = None
+    feed = None
     try:
-        for path in out_paths:
-            directory = os.path.dirname(path) or "."
-            os.makedirs(directory, exist_ok=True)
-            tmps.append(
-                tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
-            )
+        # A signal that lands as a temp file is made would leave it unlisted.
+        with _signals_held():
+            for path in out_paths:
+                directory = os.path.dirname(path) or "."
+                os.makedirs(directory, exist_ok=True)
+                tmps.append(
+                    tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
+                )
         for tmp in tmps[1:]:
             tmp.close()  # the tools open these by name
         renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
         status_r, status_w = os.pipe()
-        argv = [sys.executable, "-S", "-c", LAUNCHER, cache_dir, str(status_w)]
-        for command in commands:
-            argv += [str(len(command)), *(renamed.get(arg, arg) for arg in command)]
         with open(status_r, "rb") as status:
-            # SIGINT and SIGTERM wait until the runner is known, so that the
-            # cleanup below stops it; the runner unblocks them.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            if feed_paths is None:
+                stdin = os.open(os.devnull, os.O_RDONLY)
+            else:
+                stdin, feed_w = os.pipe()
+                feed = open(feed_w, "wb")
             try:
-                runner = subprocess.Popen(
-                    argv,
-                    stdin=subprocess.DEVNULL if feed_paths is None else subprocess.PIPE,
-                    stdout=tmps[0],
-                    pass_fds=(status_w,),
-                    start_new_session=True,
+                runner.send(
+                    [[renamed.get(arg, arg) for arg in command] for command in commands],
+                    (stdin, tmps[0].fileno(), status_w),
                 )
+            except ConnectionError:
+                pass  # the runner has exited; its reply says so
             finally:
+                os.close(stdin)
                 os.close(status_w)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            if feed_paths is not None:
-                _feed(feed_paths, runner.stdin)
+            if feed is not None:
+                _feed(feed_paths, feed)
             codes = [int(code) for code in status.read().split()]
-        runner.wait()
-        if len(codes) != len(commands):
-            names = " | ".join(command[0] for command in commands)
+        leader = runner.reply()
+        names = " | ".join(command[0] for command in commands)
+        if leader is None:
             raise StageError(
-                f"stage runner of {names} exited with status {runner.returncode} "
+                f"stage runner of {names} exited with status {runner.proc.wait()} "
                 "before it reported"
+            )
+        if leader != 0 or len(codes) != len(commands):
+            raise StageError(
+                f"stage leader of {names} exited with status {leader} before it reported"
             )
         for command, code in zip(commands, codes):
             if code != 0:
                 raise StageError(f"{' '.join(command)} exited with status {code}")
     except BaseException:
-        if runner is not None:
-            try:  # the runner stops and reaps its tools, then exits
-                os.killpg(runner.pid, signal.SIGTERM)
-            except ProcessLookupError:
-                pass  # it reaped every tool and exited already
-            runner.wait()
-            if runner.stdin:
-                try:
-                    runner.stdin.close()  # after the stop, so no tool sees EOF
-                except BrokenPipeError:
-                    pass
+        runner.close(stop=True)  # before the temp files go, which tools may open
+        _close_feed(feed)  # after the stop, so no tool sees EOF
         for tmp in tmps:
             tmp.close()
             os.unlink(tmp.name)
         raise
+    _close_feed(feed)
     tmps[0].close()
-    for path, tmp in zip(out_paths, tmps):
-        os.replace(tmp.name, path)
+    with _signals_held():  # all of the stage's outputs, or none
+        for path, tmp in zip(out_paths, tmps):
+            os.chmod(tmp.name, _OUTPUT_MODE)
+            os.replace(tmp.name, path)
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """SIGINT and SIGTERM wait until the block ends."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _close_feed(pipe):
+    """Close the feed pipe, if any, whatever its reader did."""
+    if pipe is not None:
+        try:
+            pipe.close()
+        except BrokenPipeError:
+            pass
 
 
 def _feed(paths, pipe):
@@ -251,7 +389,7 @@ def _feed(paths, pipe):
         pass  # a downstream failure will surface via exit codes
 
 
-def stage_parse(config):
+def stage_parse(config, *, runner=None):
     """Flatten every XML file under readings_dir into the parsed file."""
     files = find_xml_files(config.readings_dir)
     if not files:
@@ -266,10 +404,10 @@ def stage_parse(config):
         ("delf", "1"),
         ("delr", "3", "0"),
     ]
-    _run_stage(commands, [config.parsed_file], feed_paths=files)
+    _run_stage(commands, [config.parsed_file], feed_paths=files, runner=runner)
 
 
-def stage_validate(config):
+def stage_validate(config, *, runner=None):
     """Split parsed rows into valid (type name added) and invalid files."""
     if not os.path.isfile(config.master_path):
         raise UsageError(f"master file not found: {config.master_path}")
@@ -279,15 +417,15 @@ def stage_validate(config):
         "cjoin1", "--reject", config.invalid_file,
         "key=2", config.master_path, config.parsed_file,
     )
-    _run_stage([join], [config.valid_file, config.invalid_file])
+    _run_stage([join], [config.valid_file, config.invalid_file], runner=runner)
 
 
-def stage_aggregate(config):
+def stage_aggregate(config, *, runner=None):
     """Sum valid reading values per type into the aggregate file."""
     if not os.path.isfile(config.valid_file):
         raise UsageError(f"valid file not found: {config.valid_file}")
     commands = [("self", "3", "5", config.valid_file), *_AGGREGATE_TOOLS]
-    _run_stage(commands, [config.aggregate_file])
+    _run_stage(commands, [config.aggregate_file], runner=runner)
 
 
 _STAGES = (
@@ -297,12 +435,18 @@ _STAGES = (
 )
 
 
-def run_single(config, keep_intermediates=False):
-    """Run the three stages over one readings directory; returns stage times."""
+def run_single(config, keep_intermediates=False, *, runner=None):
+    """Run the three stages over one readings directory; returns stage times.
+
+    Every stage goes to ``runner``; by default the run starts one of its own.
+    """
+    if runner is None:
+        with StageRunner() as runner:
+            return run_single(config, keep_intermediates, runner=runner)
     times = {}
     for name, stage in _STAGES:
         started = time.perf_counter()
-        stage(config)
+        stage(config, runner=runner)
         times[name] = time.perf_counter() - started
     if not keep_intermediates:
         os.unlink(config.parsed_file)
@@ -310,16 +454,21 @@ def run_single(config, keep_intermediates=False):
 
 
 def run_batches(config, keep_intermediates=False):
-    """Run every batch sequentially, then re-aggregate the batch totals."""
+    """Run every batch sequentially, then re-aggregate the batch totals, all
+    through one stage runner."""
     if not config.batch_dirs:
         raise UsageError("no batch_dirs configured")
     reports = []
-    for batch in config.batch_dirs:
-        reports.append((batch, run_single(config.for_batch(batch), keep_intermediates)))
-    # Batch aggregates are re-aggregated exactly; exact sums make this
-    # equal to aggregating all valid rows in one run.
-    batch_files = [config.for_batch(b).aggregate_file for b in config.batch_dirs]
-    _run_stage(_AGGREGATE_TOOLS, [config.aggregate_file], feed_paths=batch_files)
+    with StageRunner() as runner:
+        for batch in config.batch_dirs:
+            times = run_single(config.for_batch(batch), keep_intermediates, runner=runner)
+            reports.append((batch, times))
+        # Batch aggregates are re-aggregated exactly; exact sums make this
+        # equal to aggregating all valid rows in one run.
+        batch_files = [config.for_batch(b).aggregate_file for b in config.batch_dirs]
+        _run_stage(
+            _AGGREGATE_TOOLS, [config.aggregate_file], feed_paths=batch_files, runner=runner
+        )
     return reports
 
 

@@ -146,7 +146,7 @@ def launcher_running(code):
     runner: the same bytecode cache (the first argument) and sys.path."""
     from meterpipe.pipeline import LAUNCHER
 
-    setup, found, _ = LAUNCHER.partition("from meterpipe.__main__ import run_stage")
+    setup, found, _ = LAUNCHER.partition("from meterpipe.__main__ import serve")
     assert found, LAUNCHER
     return setup + code
 

@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from meterpipe.bench import (
@@ -207,3 +213,29 @@ class TestRunBench:
             run_bench(config, str(out))
         content = out.read_text()
         assert "# aborted:" in content
+
+    def test_sigterm_leaves_a_marked_partial_csv(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("file_counts=200\nrepetitions=50\nwarmups=0\n")
+        out = tmp_path / "report.csv"
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        run = subprocess.Popen(
+            [sys.executable, "-m", "meterpipe", "bench", "run",
+             "--config", str(cfg), "--out", str(out)],
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, TMPDIR=str(tmp)),
+        )
+        # The header is written once the run is under way.
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        time.sleep(0.5)
+        run.send_signal(signal.SIGTERM)
+        _, err = run.communicate(timeout=60)
+        assert run.returncode == 128 + signal.SIGTERM, err
+        lines = out.read_text().splitlines()
+        assert tuple(lines[0].split(",")) == CSV_COLUMNS
+        assert lines[-1] == f"# aborted: exit status {128 + signal.SIGTERM}"
+        assert list(tmp.iterdir()) == []

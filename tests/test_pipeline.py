@@ -1,7 +1,9 @@
 import os
 import re
+import resource
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -377,8 +379,39 @@ class TestToolBytecode:
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         )
         assert out.returncode == 0, out.stderr
+        # The validate and aggregate stages import join and sortagg, after
+        # the parse stage's imports.
         assert sorted(os.listdir(package)) == before
+        assert not list(package.parent.rglob("__pycache__"))
         assert read_lines(tmp_path / "v" / "ALL_VALID_READINGS") == SAMPLE_VALID_ROWS
+
+    def test_a_dead_orchestrators_cache_is_removed(self, tmp_path, fresh):
+        dead = subprocess.Popen([sys.executable, "-S", "-c", "pass"])
+        dead.wait()
+        stale = fresh / f"meterpipe-{dead.pid}-abc"
+        (stale / "meterpipe").mkdir(parents=True)
+        (stale / "meterpipe" / "core.pyc").write_bytes(b"")
+        live = fresh / f"meterpipe-{os.getpid()}-def"
+        live.mkdir()
+        other = fresh / "meterpipe-bench-ghi"  # not a bytecode cache
+        other.mkdir()
+        cache = pipeline._bytecode_cache()
+        assert os.path.basename(cache).startswith(f"meterpipe-{os.getpid()}-")
+        assert sorted(fresh.iterdir()) == sorted([Path(cache), live, other])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_are_published_with_the_umask_mode(tmp_path, sample_dir, umask, mode):
+    out = subprocess.run(
+        [sys.executable, "-m", "meterpipe", "pipeline", "run", "--keep-intermediates",
+         "--config", write_config(tmp_path, *sample_dir)],
+        capture_output=True,
+        umask=umask,
+    )
+    assert out.returncode == 0, out.stderr
+    for name in ("p/PARSED_FILE", "v/ALL_VALID_READINGS", "v/ALL_INVALID_READINGS",
+                 "c/MEASURED_VALUES_by_TYPE"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def processes_naming(text):
@@ -418,6 +451,36 @@ def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
     assert run.returncode == 128 + signal.SIGTERM, err
     assert err == b""
     assert list(parsed.iterdir()) == []
+    assert list(tmp.iterdir()) == []
+    assert processes_naming(str(tmp)) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigterm_stops_a_batched_run_and_leaves_nothing_behind(tmp_path):
+    config = batched_config(tmp_path)
+    # The run's runner has served batches b0-b2 when the orchestrator
+    # blocks opening this FIFO to feed b3's parse stage.
+    os.mkfifo(Path(config.readings_dir) / "b3" / "zz.xml")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    cfg = write_config(tmp_path, config.readings_dir, config.master_path, ",".join(BATCHES))
+    run = subprocess.Popen(
+        [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", cfg],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, TMPDIR=str(tmp)),
+    )
+    deadline = time.monotonic() + 60
+    while not any((tmp_path / "p" / "b3").glob(".stage-*")):
+        assert run.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    run.send_signal(signal.SIGTERM)
+    _, err = run.communicate(timeout=60)
+    assert run.returncode == 128 + signal.SIGTERM, err
+    assert err == b""
+    for name in "pvc":
+        assert not list((tmp_path / name).rglob(".stage-*"))
+    assert list((tmp_path / "p" / "b3").iterdir()) == []
+    assert not (tmp_path / "c" / "MEASURED_VALUES_by_TYPE").exists()
     assert list(tmp.iterdir()) == []
     assert processes_naming(str(tmp)) == []
 
@@ -469,7 +532,7 @@ class TestStageRunner:
         launcher = launcher_running(
             f"sys.path.append({str(faults)!r}); import meterpipe.__main__ as m; "
             "m._TOOLS.update((n, ('faults', n)) for n in ('boom', 'tee', 'die')); "
-            "sys.exit(m.run_stage())"
+            "sys.exit(m.serve())"
         )
         monkeypatch.setattr(pipeline, "LAUNCHER", launcher)
 
@@ -539,27 +602,114 @@ class TestStageRunner:
         assert log.read_text() == "a 1\nb 2\n"
         self.assert_gone(runners[0])
 
-    def test_a_runner_that_dies_before_it_reports_is_a_stage_error(
+    def test_a_leader_that_dies_before_it_reports_is_a_stage_error(
         self, tmp_path, runners, fault_tools
     ):
         out = tmp_path / "out"
         with pytest.raises(
             StageError,
-            match=f"^stage runner of self \\| die exited with status -{signal.SIGKILL} "
+            match=f"^stage leader of self \\| die exited with status -{signal.SIGKILL} "
             "before it reported$",
         ):
             pipeline._run_stage([("self", "1"), ("die", "KILL")], [str(out)])
         assert list(tmp_path.iterdir()) == [tmp_path / "faults"]
+        # The leader's tool was orphaned, so init, not the runner, reaps it
+        # once the runner's SIGTERM has stopped it.
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(runners[0].pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
 
-    def test_each_stage_starts_one_runner(self, tmp_path, sample_dir, runners):
+    def test_a_runner_that_dies_before_it_reports_is_a_stage_error(self, tmp_path, runners):
+        out = tmp_path / "out"
+        with pipeline.StageRunner() as runner:
+            pipeline._run_stage([("self", "1")], [str(tmp_path / "first")], runner=runner)
+            os.kill(runners[0].pid, signal.SIGKILL)
+            with pytest.raises(
+                StageError,
+                match=f"^stage runner of self \\| self exited with status -{signal.SIGKILL} "
+                "before it reported$",
+            ):
+                pipeline._run_stage([("self", "1"), ("self", "1")], [str(out)], runner=runner)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "first"]
+        (runner,) = runners
+        self.assert_gone(runner)
+
+    def test_a_run_starts_one_runner(self, tmp_path, sample_dir, runners):
         config = make_pipeline_config(tmp_path, *sample_dir)
         run_single(config)
-        assert len(runners) == len(pipeline._STAGES)
         assert read_lines(config.aggregate_file) == [
             "TYPE01 16.3959",
             "TYPE02 17.9735",
             "TYPE03 17.8280",
         ]
+        assert len(runners) == 1
+        self.assert_gone(runners[0])
+        assert runners[0].returncode == 0
+
+        batched = batched_config(tmp_path / "batched")
+        run_batches(batched)
+        assert len(runners) == 2
+        self.assert_gone(runners[1])
+        assert runners[1].returncode == 0
+
+    def test_a_run_reaps_every_tool_before_it_returns(self, tmp_path):
+        # The tools' CPU reaches RUSAGE_CHILDREN when the runner is reaped.
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        run_batches(batched_config(tmp_path))
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
+        # No process of this test's is left to reap.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_bad_file_in_a_later_batch_stops_the_run_and_its_runner(
+        self, tmp_path, runners
+    ):
+        config = batched_config(tmp_path)
+        bad = Path(config.readings_dir) / "b3" / "zz.xml"
+        bad.write_text("<MeterReadings><MeterReading>")
+        with pytest.raises(StageError, match="^xmldir "):
+            run_batches(config)
+        (runner,) = runners
+        self.assert_gone(runner)
+        # Batches 0-2 were published; batch 3 and the final aggregate were not.
+        for directory in (config.parsed_dir, config.valid_dir, config.corrected_dir):
+            assert not list(Path(directory).rglob(".stage-*"))
+            assert not list(Path(directory).glob("b3/*"))
+        assert not os.path.exists(config.aggregate_file)
+        assert os.path.exists(config.for_batch("b2").aggregate_file)
+
+
+# A multi-batch corpus, and its aggregate as published when each stage
+# started a runner of its own.
+BATCHES = tuple(f"b{i}" for i in range(5))
+BATCHED_AGGREGATE = b"TYPE01 235.8463\nTYPE02 302.2905\nTYPE03 286.3377\n"
+
+
+def batched_config(tmp_path):
+    for i, batch in enumerate(BATCHES):
+        generate_corpus(
+            GeneratorConfig(
+                file_count=8,
+                meters=4,
+                seed=300 + i,
+                out_dir=str(tmp_path / "r" / batch),
+                invalid_ratio=0.2,
+            )
+        )
+    master = tmp_path / "r" / BATCHES[0] / "READING_TYPE_CONVERTER"
+    return make_pipeline_config(tmp_path, tmp_path / "r", master, batch_dirs=list(BATCHES))
+
+
+def test_a_batched_run_aggregates_as_before(tmp_path):
+    config = batched_config(tmp_path)
+    run_batches(config)
+    assert Path(config.aggregate_file).read_bytes() == BATCHED_AGGREGATE
 
 
 class TestFindXmlFiles:
