@@ -7,6 +7,7 @@ stage runner the orchestrator starts once per pipeline run.
 
 import _signal  # signal's functions without its enum import; already loaded
 import _socket
+import marshal
 import os
 import sys
 
@@ -44,14 +45,17 @@ def main(argv=None):
 def serve(argv=None):
     """The stage runner of one pipeline run: ``<socket fd>``.
 
-    Each message on the socket is one stage: its commands, as
-    NUL-separated ``<n> <tool> <n-1 args>`` groups, and three fds (the
-    stage's stdin and stdout, and the write end of its status pipe).  The
-    runner imports the stage's tool modules, caching their bytecode under
-    the ``sys.pycache_prefix`` the launcher set, and forks a stage leader
-    that runs the stage (see ``run_stage``).  Once it has reaped the leader,
-    it sends the leader's exit status back.  It exits when the orchestrator
-    closes its end.  SIGTERM stops the runner and the stage (see ``_stop``).
+    Each message on the socket is one stage: its commands, as a
+    ``marshal``-ed list of argv lists, and two fds, the stage's stdin and
+    stdout.  The runner imports the stage's tool modules, caching their
+    bytecode under the ``sys.pycache_prefix`` the launcher set, and forks
+    one child per tool, as a shell forks the commands of a pipeline: each
+    reads the previous tool's pipe (the first, the stage's stdin) and
+    writes the next one's (the last, the stage's stdout).  Once it has
+    reaped every tool, it sends their exit statuses back in command order,
+    negative for a signal, as one ``marshal``-ed list.  It exits when the
+    orchestrator closes its end.  SIGTERM stops the runner and the stage
+    (see ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
     # Blocked by the orchestrator while it started this process.
@@ -62,19 +66,14 @@ def serve(argv=None):
     channel = _socket.socket(fileno=int(argv[0]))
     while True:
         # A stage's commands, paths and short arguments, fit in 64 KiB.
-        message, ancillary, _, _ = channel.recvmsg(1 << 16, _socket.CMSG_SPACE(3 * 4))
+        message, ancillary, _, _ = channel.recvmsg(1 << 16, _socket.CMSG_SPACE(2 * 4))
         if not message:
             return 0
         ((_, _, data),) = ancillary
-        stdin, stdout, status_fd = (
-            int.from_bytes(data[i : i + 4], sys.byteorder, signed=True) for i in (0, 4, 8)
+        stdin, stdout = (
+            int.from_bytes(data[i : i + 4], sys.byteorder, signed=True) for i in (0, 4)
         )
-        tokens = [os.fsdecode(token) for token in message.split(b"\0")]
-        commands = []
-        while tokens:
-            n = int(tokens[0])
-            commands.append(tokens[1 : n + 1])
-            tokens = tokens[n + 1 :]
+        commands = marshal.loads(message)
         # The tools import only standard modules after this (tempfile,
         # decimal); those load from the standard library's own bytecode
         # cache, so the prefix is set around these imports alone.
@@ -83,70 +82,37 @@ def serve(argv=None):
             if name in _TOOLS:
                 __import__(_TOOLS[name][0])
         sys.pycache_prefix = None
-        sys.stderr.flush()  # or the leader writes it again
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:  # the leader never returns into this loop
-                channel.close()
-                os.dup2(stdin, 0)
-                os.dup2(stdout, 1)
-                os.close(stdin)
-                os.close(stdout)
-                run_stage(commands, status_fd)
-                code = 0
-            except BaseException:
-                sys.excepthook(*sys.exc_info())
-            finally:
-                sys.stderr.flush()
-                os._exit(code)
-        for fd in (stdin, stdout, status_fd):
-            os.close(fd)
-        status = os.wait4(pid, 0)[1]
+        sys.stderr.flush()  # or every tool writes it again
+        pids = []
+        for i, command in enumerate(commands):
+            read_end, write_end = os.pipe() if i < len(commands) - 1 else (None, stdout)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:  # a tool never returns into this loop
+                    _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+                    os.dup2(stdin, 0)
+                    os.dup2(write_end, 1)
+                    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+                    code = _run_tool(command)
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(stdin)
+            os.close(write_end)
+            stdin = read_end
+        codes = [os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]) for pid in pids]
         try:
-            channel.send(str(os.waitstatus_to_exitcode(status)).encode())
+            channel.send(marshal.dumps(codes))
         except OSError:
             return 1  # the orchestrator has gone
 
 
-def run_stage(commands, status_fd):
-    """Run one pipeline stage over fds 0 and 1.
-
-    Each tool but the last runs in a forked child, reading fd 0 and writing
-    a pipe that becomes the next tool's fd 0; the last tool runs in this
-    process and writes fd 1.  Once every child is reaped, one line of exit
-    statuses, in command order (negative for a signal), goes to
-    ``status_fd``.
-    """
-    pids = []
-    for command in commands[:-1]:
-        read_end, write_end = os.pipe()
-        sys.stderr.flush()  # or the child writes it again
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:  # the child never returns into this loop
-                _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-                os.dup2(write_end, 1)
-                os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-                code = _run_tool(command)
-            finally:
-                os._exit(code)
-        pids.append(pid)
-        os.close(write_end)
-        os.dup2(read_end, 0)  # the next tool's stdin; drops this one's
-        os.close(read_end)
-    last = _run_tool(commands[-1])
-    os.close(0)  # an upstream tool still writing gets EPIPE, not a full pipe
-    codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    os.write(status_fd, " ".join(map(str, [*codes, last])).encode() + b"\n")
-
-
 def _stop(signum, frame):
-    """Stop every process of the stage and reap it, then exit.  The
+    """Stop every tool of the stage and reap it, then exit.  The
     orchestrator sends SIGTERM to the runner's process group and waits for
-    the runner alone; the runner reaps the stage leader, and the leader its
-    tools, so no tool outlives the run or leaves its usage unaccounted."""
+    the runner alone; the runner reaps its tools, so no tool outlives the
+    run or leaves its usage unaccounted."""
     _signal.signal(signum, _signal.SIG_IGN)
     os.killpg(0, signum)  # again, for a tool forked as the first one came
     while True:

@@ -12,6 +12,7 @@ import argparse
 import atexit
 import contextlib
 import datetime
+import marshal
 import os
 import shutil
 import signal
@@ -109,9 +110,9 @@ def load_config(path):
 
 # A pipeline run starts one process, the stage runner
 # (``meterpipe.__main__.serve``), as ``python -S -c LAUNCHER <cache dir>
-# <socket fd>``, and sends it every stage; it forks a leader per stage, which
-# forks the stage's tools.  -S skips ``site`` (its .pth files can cost more
-# than the tools' own imports) and -c skips runpy; PYTHONPATH still applies.
+# <socket fd>``, and sends it every stage; it forks the stage's tools.  -S
+# skips ``site`` (its .pth files can cost more than the tools' own imports)
+# and -c skips runpy; PYTHONPATH still applies.
 # LAUNCHER runs the orchestrator's own meterpipe and caches its bytecode in a
 # private directory, made on first use and removed at exit, even under
 # PYTHONDONTWRITEBYTECODE; nothing is written beside the sources.  (Under
@@ -196,11 +197,11 @@ class StageRunner:
     """The stage runner of one pipeline run, as a context manager.
 
     The runner process starts at the first stage sent to it.  It is the
-    leader of a process group of its own, and forks a leader for each stage,
-    which forks the stage's tools.  On leaving the block the runner is ended
-    and reaped: on success by closing its channel, on an exception by
-    SIGTERM to its group.  Only then do the tools' CPU time and peak RSS
-    count among this process's children.
+    leader of a process group of its own, forks each stage's tools and
+    reaps them.  On leaving the block the runner is ended and reaped: on
+    success by closing its channel, on an exception by SIGTERM to its group.
+    Only then do the tools' CPU time and peak RSS count among this process's
+    children.
     """
 
     def __init__(self):
@@ -236,20 +237,22 @@ class StageRunner:
             self.channel = ours
 
     def send(self, commands, fds):
-        """Send one stage: its commands, and its stdin, stdout and status fds."""
-        tokens = []
-        for command in commands:
-            tokens += [str(len(command)), *command]
-        socket.send_fds(self.channel, [b"\0".join(map(os.fsencode, tokens))], fds)
+        """Send one stage: its commands, and its stdin and stdout fds.  Both
+        ends run ``sys.executable``, so ``marshal`` frames the commands."""
+        socket.send_fds(self.channel, [marshal.dumps(commands)], fds)
 
     def reply(self):
-        """The exit status of the stage's leader, once the runner has reaped
-        it; None if the runner has exited."""
+        """The exit status of each of the stage's tools, in command order
+        (negative for a signal), once the runner has reaped them all; None
+        if the runner has exited."""
         try:
-            reply = self.channel.recv(32)
+            # SOCK_SEQPACKET drops what a buffer cannot hold, silently.  At
+            # 5 bytes a status, a reply is shorter than its stage's
+            # commands, which the runner reads into as large a buffer.
+            reply = self.channel.recv(1 << 16)
         except ConnectionResetError:  # it exited with the stage unread
             return None
-        return int(reply) if reply else None
+        return marshal.loads(reply) if reply else None
 
     def close(self, stop=False):
         """End the runner and reap it: by closing its channel, or, with
@@ -261,8 +264,8 @@ class StageRunner:
             if not stop:
                 self.proc.wait()
         finally:
-            # Also after the runner exits: a stage leader it did not reap
-            # (the runner was killed) is still in its group.
+            # Also after the runner exits: a tool it did not reap (the
+            # runner was killed) is still in its group.
             if stop or self.proc.returncode is None:
                 try:  # the runner stops and reaps the stage, then exits
                     os.killpg(self.proc.pid, signal.SIGTERM)
@@ -276,16 +279,15 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
     """Run commands as one OS pipeline and publish ``out_paths`` atomically.
 
     ``runner`` (a started-or-not ``StageRunner``; by default one of its own)
-    forks a stage leader, which forks the tools and reports each one's exit
-    status on a pipe.  Each output is written to a temp file beside it: the
-    last command's stdout goes to the first one, and an argument equal to an
-    output path names that output's temp file instead (cjoin1's
-    ``--reject``).  Every output is renamed into place, with the mode a
-    shell redirection would give it, only after every tool exits 0;
-    otherwise the runner is stopped and every temp file is removed.
-    ``feed_paths`` are streamed into the first command's stdin.  The tools'
-    CPU time and peak RSS count among this process's children once the
-    runner is reaped, at the end of the run.
+    forks the tools and reports each one's exit status.  Each output is
+    written to a temp file beside it: the last command's stdout goes to the
+    first one, and an argument equal to an output path names that output's
+    temp file instead (cjoin1's ``--reject``).  Every output is renamed into
+    place, with the mode a shell redirection would give it, only after every
+    tool exits 0; otherwise the runner is stopped and every temp file is
+    removed.  ``feed_paths`` are streamed into the first command's stdin.
+    The tools' CPU time and peak RSS count among this process's children
+    once the runner is reaped, at the end of the run.
     """
     if runner is None:
         with StageRunner() as runner:
@@ -305,36 +307,28 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
         for tmp in tmps[1:]:
             tmp.close()  # the tools open these by name
         renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
-        status_r, status_w = os.pipe()
-        with open(status_r, "rb") as status:
-            if feed_paths is None:
-                stdin = os.open(os.devnull, os.O_RDONLY)
-            else:
-                stdin, feed_w = os.pipe()
-                feed = open(feed_w, "wb")
-            try:
-                runner.send(
-                    [[renamed.get(arg, arg) for arg in command] for command in commands],
-                    (stdin, tmps[0].fileno(), status_w),
-                )
-            except ConnectionError:
-                pass  # the runner has exited; its reply says so
-            finally:
-                os.close(stdin)
-                os.close(status_w)
-            if feed is not None:
-                _feed(feed_paths, feed)
-            codes = [int(code) for code in status.read().split()]
-        leader = runner.reply()
-        names = " | ".join(command[0] for command in commands)
-        if leader is None:
+        if feed_paths is None:
+            stdin = os.open(os.devnull, os.O_RDONLY)
+        else:
+            stdin, feed_w = os.pipe()
+            feed = open(feed_w, "wb")
+        try:
+            runner.send(
+                [[renamed.get(arg, arg) for arg in command] for command in commands],
+                (stdin, tmps[0].fileno()),
+            )
+        except ConnectionError:
+            pass  # the runner has exited; its reply says so
+        finally:
+            os.close(stdin)
+        if feed is not None:
+            _feed(feed_paths, feed)
+        codes = runner.reply()
+        if codes is None:
+            names = " | ".join(command[0] for command in commands)
             raise StageError(
                 f"stage runner of {names} exited with status {runner.proc.wait()} "
                 "before it reported"
-            )
-        if leader != 0 or len(codes) != len(commands):
-            raise StageError(
-                f"stage leader of {names} exited with status {leader} before it reported"
             )
         for command, code in zip(commands, codes):
             if code != 0:
@@ -490,13 +484,20 @@ def format_summary(reports):
 
 
 def run_cli(prog, body):
-    """``core.run_tool`` with SIGTERM as ``SystemExit(143)``, so a running
-    stage is stopped and cleaned up and the bytecode cache is removed."""
-    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    """``core.run_tool`` with SIGINT and SIGTERM as ``SystemExit(128 +
+    signum)`` (130 and 143), so a running stage is stopped and cleaned up
+    and the bytecode cache is removed.  A signal ignored at entry, as a
+    shell's background job has SIGINT, stays ignored."""
+    previous = {
+        signum: signal.signal(signum, lambda signum, _: sys.exit(128 + signum))
+        for signum in (signal.SIGINT, signal.SIGTERM)
+        if signal.getsignal(signum) != signal.SIG_IGN
+    }
     try:
         return run_tool(prog, body)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def main(argv=None):

@@ -427,8 +427,7 @@ def processes_naming(text):
     return found
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
+def assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, signum):
     readings, master = sample_dir
     # The orchestrator blocks opening this FIFO to feed it to the parse
     # stage, whose runner and tools are started and waiting for input.
@@ -440,19 +439,31 @@ def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
          "--config", write_config(tmp_path, readings, master)],
         stderr=subprocess.PIPE,
         env=dict(os.environ, TMPDIR=str(tmp)),
+        # A shell's background job may hand SIGINT down ignored.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     parsed = tmp_path / "p"
     deadline = time.monotonic() + 60
     while not any(parsed.glob(".stage-*")):
         assert run.poll() is None and time.monotonic() < deadline
         time.sleep(0.005)
-    run.send_signal(signal.SIGTERM)
+    run.send_signal(signum)
     _, err = run.communicate(timeout=60)
-    assert run.returncode == 128 + signal.SIGTERM, err
+    assert run.returncode == 128 + signum, err
     assert err == b""
     assert list(parsed.iterdir()) == []
     assert list(tmp.iterdir()) == []
     assert processes_naming(str(tmp)) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
+    assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, signal.SIGTERM)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigint_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
+    assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, signal.SIGINT)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
@@ -602,27 +613,29 @@ class TestStageRunner:
         assert log.read_text() == "a 1\nb 2\n"
         self.assert_gone(runners[0])
 
-    def test_a_leader_that_dies_before_it_reports_is_a_stage_error(
+    def test_a_killed_last_tool_is_named_and_every_tool_is_reaped(
         self, tmp_path, runners, fault_tools
     ):
         out = tmp_path / "out"
-        with pytest.raises(
-            StageError,
-            match=f"^stage leader of self \\| die exited with status -{signal.SIGKILL} "
-            "before it reported$",
-        ):
+        with pytest.raises(StageError, match=f"^die KILL exited with status -{signal.SIGKILL}$"):
             pipeline._run_stage([("self", "1"), ("die", "KILL")], [str(out)])
         assert list(tmp_path.iterdir()) == [tmp_path / "faults"]
-        # The leader's tool was orphaned, so init, not the runner, reaps it
-        # once the runner's SIGTERM has stopped it.
-        deadline = time.monotonic() + 10
-        while True:
-            try:
-                os.killpg(runners[0].pid, 0)
-            except ProcessLookupError:
-                break
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        # Every tool is the runner's own child, reaped before it replied.
+        self.assert_gone(runners[0])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_the_runner_keeps_no_fd_of_a_stage(self, tmp_path):
+        rows = tmp_path / "rows"
+        rows.write_text("a b\n")
+        with pipeline.StageRunner() as runner:
+            for n in (1, 3, 8):
+                out = tmp_path / f"out{n}"
+                pipeline._run_stage(
+                    [("self", "1")] * n, [str(out)], feed_paths=[rows], runner=runner
+                )
+                assert out.read_text() == "a\n"
+                fds = sorted(os.listdir(f"/proc/{runner.proc.pid}/fd"), key=int)
+                assert fds == ["0", "1", "2", runner.proc.args[-1]]  # and its socket
 
     def test_a_runner_that_dies_before_it_reports_is_a_stage_error(self, tmp_path, runners):
         out = tmp_path / "out"
@@ -704,6 +717,28 @@ def batched_config(tmp_path):
         )
     master = tmp_path / "r" / BATCHES[0] / "READING_TYPE_CONVERTER"
     return make_pipeline_config(tmp_path, tmp_path / "r", master, batch_dirs=list(BATCHES))
+
+
+def test_arguments_reach_the_tools_as_they_were_sent(tmp_path, sample_dir, monkeypatch):
+    # Directories named with a space and a byte that is not UTF-8, and an
+    # empty argument: delr 2 '' drops no row, but only if it gets all three.
+    root = tmp_path / ("a b" + os.fsdecode(b"\xff"))
+    readings, master = sample_dir
+    shutil.copytree(readings, root / "readings")
+    shutil.copy(master, root / "master")
+    monkeypatch.setattr(
+        pipeline, "_AGGREGATE_TOOLS", (("delr", "2", ""), *pipeline._AGGREGATE_TOOLS)
+    )
+    config = make_pipeline_config(root, root / "readings", root / "master")
+    run_single(config, keep_intermediates=True)
+    assert read_lines(config.parsed_file) == SAMPLE_PARSED_ROWS
+    assert read_lines(config.valid_file) == SAMPLE_VALID_ROWS
+    assert read_lines(config.invalid_file) == []
+    assert read_lines(config.aggregate_file) == [
+        "TYPE01 16.3959",
+        "TYPE02 17.9735",
+        "TYPE03 17.8280",
+    ]
 
 
 def test_a_batched_run_aggregates_as_before(tmp_path):
