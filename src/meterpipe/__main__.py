@@ -42,6 +42,11 @@ def main(argv=None):
     return getattr(module, funcname)(argv[1:])
 
 
+# The largest message, in bytes, that either end of the runner's socket
+# receives; ``StageRunner.send`` refuses a stage whose commands exceed it.
+MESSAGE_MAX = 1 << 16
+
+
 def serve(argv=None):
     """The stage runner of one pipeline run: ``<socket fd>``.
 
@@ -65,8 +70,7 @@ def serve(argv=None):
     # _socket, not socket: socket imports enum and selectors.
     channel = _socket.socket(fileno=int(argv[0]))
     while True:
-        # A stage's commands, paths and short arguments, fit in 64 KiB.
-        message, ancillary, _, _ = channel.recvmsg(1 << 16, _socket.CMSG_SPACE(2 * 4))
+        message, ancillary, _, _ = channel.recvmsg(MESSAGE_MAX, _socket.CMSG_SPACE(2 * 4))
         if not message:
             return 0
         ((_, _, data),) = ancillary

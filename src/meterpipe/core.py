@@ -40,38 +40,6 @@ def _is_digits(text):
     return text.isascii() and text.isdigit()
 
 
-ABSOLUTE = "absolute"
-END_RELATIVE = "end_relative"
-
-
-class FieldSpec:
-    """A 1-based field selector: absolute index, or NF / NF-k from the end."""
-
-    __slots__ = ("kind", "index")
-
-    def __init__(self, kind, index):
-        self.kind = kind
-        self.index = index
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.index))
-
-    def __str__(self):
-        if self.kind == ABSOLUTE:
-            return str(self.index)
-        return "NF" if self.index == 0 else f"NF-{self.index}"
-
-    def __repr__(self):
-        return f"FieldSpec({self.kind!r}, {self.index!r})"
-
-
 def parse_digits(text, what):
     """Parse a run of ASCII digits, such as a field position or a byte
     count; anything else is a UsageError naming ``what``."""
@@ -84,25 +52,32 @@ def parse_digits(text, what):
 
 
 def parse_fieldspec(text):
-    """Parse an integer, ``NF`` or ``NF-<k>`` selector."""
+    """Parse ``N``, ``NF`` or ``NF-k`` into a signed int: ``N`` itself, or
+    ``-(k+1)``, counting from the end as a Python index does (``NF`` is -1)."""
     if text == "NF":
-        return FieldSpec(END_RELATIVE, 0)
+        return -1
     relative = text.startswith("NF-")
     digits = text[3:] if relative else text
     if not _is_digits(digits):
         raise UsageError(f"invalid field spec {text!r} (expected N, NF or NF-k)")
     index = parse_digits(digits, "field spec")
     if relative:
-        return FieldSpec(END_RELATIVE, index)
+        return -1 - index
     if index < 1:
         raise UsageError(f"invalid field spec {text!r}: index must be >= 1")
-    return FieldSpec(ABSOLUTE, index)
+    return index
+
+
+def format_fieldspec(spec):
+    """A spec as ``N``, ``NF`` or ``NF-k``: as written, less leading zeros,
+    and ``NF-0`` as ``NF``."""
+    return str(spec) if spec > 0 else "NF" if spec == -1 else f"NF-{-1 - spec}"
 
 
 def field_position(spec, nfields):
     """The 1-based position selected by ``spec`` in a row of ``nfields``
     fields, or 0 when the row is too short to have it."""
-    pos = spec.index if spec.kind == ABSOLUTE else nfields - spec.index
+    pos = spec if spec > 0 else nfields + 1 + spec
     return pos if 1 <= pos <= nfields else 0
 
 
@@ -112,9 +87,8 @@ def resolve_field(spec, nfields, lineno=None):
     pos = field_position(spec, nfields)
     if not pos:
         where = "" if lineno is None else f"line {lineno}: "
-        raise DataError(
-            f"{where}field {spec} does not exist in a {nfields}-field row"
-        )
+        text = format_fieldspec(spec)
+        raise DataError(f"{where}field {text} does not exist in a {nfields}-field row")
     return pos
 
 

@@ -23,6 +23,7 @@ import tempfile
 import time
 from dataclasses import dataclass, fields
 
+from .__main__ import MESSAGE_MAX
 from .core import DataError, UsageError, input_rows, read_config, run_tool
 from .generator import GeneratorConfig, generate_corpus
 
@@ -238,8 +239,16 @@ class StageRunner:
 
     def send(self, commands, fds):
         """Send one stage: its commands, and its stdin and stdout fds.  Both
-        ends run ``sys.executable``, so ``marshal`` frames the commands."""
-        socket.send_fds(self.channel, [marshal.dumps(commands)], fds)
+        ends run ``sys.executable``, so ``marshal`` frames the commands.  A
+        stage too large for the runner's buffer is a StageError, unsent."""
+        message = marshal.dumps(commands)
+        if len(message) > MESSAGE_MAX:
+            names = " | ".join(command[0] for command in commands)
+            raise StageError(
+                f"the commands of {names} take {len(message)} bytes, "
+                f"over the stage runner's limit of {MESSAGE_MAX} bytes"
+            )
+        socket.send_fds(self.channel, [message], fds)
 
     def reply(self):
         """The exit status of each of the stage's tools, in command order
@@ -249,7 +258,7 @@ class StageRunner:
             # SOCK_SEQPACKET drops what a buffer cannot hold, silently.  At
             # 5 bytes a status, a reply is shorter than its stage's
             # commands, which the runner reads into as large a buffer.
-            reply = self.channel.recv(1 << 16)
+            reply = self.channel.recv(MESSAGE_MAX)
         except ConnectionResetError:  # it exited with the stage unread
             return None
         return marshal.loads(reply) if reply else None
@@ -300,10 +309,13 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
         with _signals_held():
             for path in out_paths:
                 directory = os.path.dirname(path) or "."
-                os.makedirs(directory, exist_ok=True)
-                tmps.append(
-                    tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
-                )
+                try:
+                    os.makedirs(directory, exist_ok=True)
+                    tmps.append(
+                        tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
+                    )
+                except OSError as exc:
+                    raise DataError(f"cannot create {path}: {exc.strerror}") from exc
         for tmp in tmps[1:]:
             tmp.close()  # the tools open these by name
         renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}

@@ -1,8 +1,6 @@
 """Row and column stream operators: self, delf, delr, filter-tags,
 group-number and map (the key/label/value pivot)."""
 
-import sys
-
 from .core import (
     DataError,
     UsageError,
@@ -219,8 +217,9 @@ def map_main(argv=None):
 
 
 def _pivot_file(path):
-    # Two passes are needed for the global label set, so a pipe is spooled
-    # to a scratch file first.
+    # Two passes are needed for the global label set, so stdin, or a named
+    # input that cannot seek (a FIFO, /dev/stdin on a pipe), is spooled to
+    # a scratch file first.
     with _seekable_input(path) as f:
         labels = collect_labels(read_rows(f))
         f.seek(0)
@@ -228,11 +227,13 @@ def _pivot_file(path):
 
 
 def _seekable_input(path):
-    if path != "-":
-        return open_text_input(path)
+    f = open_text_input(path)
+    if path != "-" and f.seekable():
+        return f
     spool = scratch_file()
     import shutil  # already loaded by tempfile, which scratch_file imports
 
-    shutil.copyfileobj(sys.stdin.buffer, spool.buffer)
+    with f:
+        shutil.copyfileobj(f.buffer, spool.buffer)
     spool.seek(0)
     return spool

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,20 @@ class TestRowToolsCli:
             f"{tool}: invalid field spec '٢' (expected N, NF or NF-k)"
         ]
 
+    @pytest.mark.parametrize(
+        "spec, rows, error",
+        [
+            ("NF-3", b"a b\n", "field NF-3 does not exist in a 2-field row"),
+            ("NF-0", b"\n", "field NF does not exist in a 0-field row"),
+            ("NF-03", b"a b\n", "field NF-3 does not exist in a 2-field row"),
+        ],
+    )
+    def test_self_names_a_missing_field_as_its_spec_was_written(self, spec, rows, error):
+        proc = run_tool("self", spec, stdin=rows)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"self: line 1: {error}"]
+
     def test_self_on_empty_input(self):
         proc = run_tool("self", "1", stdin=b"")
         assert proc.returncode == 0
@@ -115,6 +130,21 @@ class TestRowToolsCli:
         f.write_bytes(b"1 name N\n1 value V\n2 name M\n")
         proc = run_tool("map", "num=1", str(f))
         assert lines(proc.stdout) == ["1 N V", "2 M 0"]
+
+    def test_map_reads_a_named_pipe_as_it_reads_a_file(self, tmp_path):
+        cells = b"1 name N\n1 value V\n2 name M\n1 name O\n"
+        regular = tmp_path / "regular"
+        regular.write_bytes(cells)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # Opening the FIFO blocks until map opens it too.
+        writer = threading.Thread(target=fifo.write_bytes, args=(cells,), daemon=True)
+        writer.start()
+        proc = run_tool("map", "num=1", str(fifo))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_tool("map", "num=1", str(regular), check=True).stdout
 
     def test_map_data_error_on_stdin_is_one_line(self):
         proc = run_tool("map", "num=1", stdin=b"1 a x\n1 a y\n")

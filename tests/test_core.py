@@ -6,15 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meterpipe.core import (
-    ABSOLUTE,
     DataError,
-    END_RELATIVE,
-    FieldSpec,
     UsageError,
     decimal_add,
     decimal_mul,
     field_position,
     format_decimal,
+    format_fieldspec,
     parse_decimal,
     parse_fieldspec,
     read_rows,
@@ -52,11 +50,16 @@ class TestSplitRecord:
 
 class TestFieldSpec:
     def test_parse_absolute(self):
-        assert parse_fieldspec("3") == FieldSpec(ABSOLUTE, 3)
+        assert parse_fieldspec("3") == 3
+        assert parse_fieldspec("007") == 7
 
     def test_parse_nf_forms(self):
-        assert parse_fieldspec("NF") == FieldSpec(END_RELATIVE, 0)
-        assert parse_fieldspec("NF-2") == FieldSpec(END_RELATIVE, 2)
+        assert parse_fieldspec("NF") == -1
+        assert parse_fieldspec("NF-0") == -1
+        assert parse_fieldspec("NF-2") == -3
+
+    def test_a_spec_is_a_plain_int(self):
+        assert type(parse_fieldspec("NF-2")) is int
 
     @pytest.mark.parametrize(
         "bad",
@@ -72,21 +75,35 @@ class TestFieldSpec:
             parse_fieldspec(bad)
 
     def test_nf_is_last_field(self):
-        assert resolve_field(FieldSpec(END_RELATIVE, 0), 6) == 6
+        assert resolve_field(parse_fieldspec("NF"), 6) == 6
 
     def test_nf_minus_one_on_flat_name_row(self):
         fields = split_fields("MeterReadings MeterReading Meter Names name SM000000001VG")
-        pos = resolve_field(FieldSpec(END_RELATIVE, 1), len(fields))
+        pos = resolve_field(parse_fieldspec("NF-1"), len(fields))
         assert pos == 5
         assert fields[pos - 1] == "name"
 
     def test_out_of_range_is_data_error(self):
         with pytest.raises(DataError):
-            resolve_field(FieldSpec(ABSOLUTE, 7), 4)
+            resolve_field(7, 4)
 
     def test_error_names_the_line(self):
         with pytest.raises(DataError, match="line 12"):
-            resolve_field(FieldSpec(ABSOLUTE, 7), 4, lineno=12)
+            resolve_field(7, 4, lineno=12)
+
+    @pytest.mark.parametrize(
+        "text, nfields, message",
+        [
+            ("NF-3", 2, "field NF-3 does not exist in a 2-field row"),
+            ("NF-0", 0, "field NF does not exist in a 0-field row"),
+            ("NF-007", 2, "field NF-7 does not exist in a 2-field row"),
+            ("007", 2, "field 7 does not exist in a 2-field row"),
+        ],
+    )
+    def test_error_names_the_spec_as_written(self, text, nfields, message):
+        with pytest.raises(DataError) as caught:
+            resolve_field(parse_fieldspec(text), nfields)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "text, nfields, pos",
@@ -100,11 +117,19 @@ class TestFieldSpec:
 
     @given(st.lists(st.text(alphabet="xy", min_size=1), min_size=1, max_size=8))
     def test_nf_resolves_to_field_count(self, fields):
-        assert resolve_field(FieldSpec(END_RELATIVE, 0), len(fields)) == len(fields)
+        assert resolve_field(parse_fieldspec("NF"), len(fields)) == len(fields)
+
+    @given(st.lists(st.text(alphabet="xy", min_size=1), max_size=8), st.integers(0, 9))
+    def test_nf_minus_k_selects_what_a_python_index_does(self, fields, k):
+        pos = field_position(parse_fieldspec(f"NF-{k}"), len(fields))
+        if k < len(fields):
+            assert fields[pos - 1] == fields[-(k + 1)]
+        else:
+            assert pos == 0
 
     def test_str_round_trips(self):
         for text in ("1", "17", "NF", "NF-3"):
-            assert str(parse_fieldspec(text)) == text
+            assert format_fieldspec(parse_fieldspec(text)) == text
 
 
 def decimal_text(negative, digits, scale):
@@ -260,14 +285,28 @@ def old_split_fields(line):
 
 
 def old_parse_fieldspec(text):
-    """The old parser's result, or None where it raised UsageError."""
+    """The old parser's spec as a ``(kind, index)`` tuple, or None where it
+    raised UsageError."""
     m = _OLD_SPEC_RE.match(text)
     if m is None:
         return None
     if m.group(1) is not None:
         index = int(m.group(1))
-        return FieldSpec(ABSOLUTE, index) if index >= 1 else None
-    return FieldSpec(END_RELATIVE, int(m.group(2) or 0))
+        return ("absolute", index) if index >= 1 else None
+    return ("end_relative", int(m.group(2) or 0))
+
+
+def old_field_position(old, nfields):
+    kind, index = old
+    pos = index if kind == "absolute" else nfields - index
+    return pos if 1 <= pos <= nfields else 0
+
+
+def old_format_fieldspec(old):
+    kind, index = old
+    if kind == "absolute":
+        return str(index)
+    return "NF" if index == 0 else f"NF-{index}"
 
 
 def old_parse_decimal(token):
@@ -319,8 +358,14 @@ class TestParsersMatchTheOldRegexes:
         accepted = 0
         for text in fuzz_texts(2, 20000):
             old = old_parse_fieldspec(text)
-            assert new_or_none(parse_fieldspec, text, UsageError) == old, repr(text)
-            accepted += old is not None
+            new = new_or_none(parse_fieldspec, text, UsageError)
+            assert (new is None) == (old is None), repr(text)
+            if old is None:
+                continue
+            accepted += 1
+            positions = [field_position(new, n) for n in range(9)]
+            assert positions == [old_field_position(old, n) for n in range(9)], repr(text)
+            assert format_fieldspec(new) == old_format_fieldspec(old), repr(text)
         assert accepted > 500  # the fuzz reaches the accepting paths too
 
     def test_parse_decimal(self):

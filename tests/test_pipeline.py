@@ -457,6 +457,33 @@ def assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, 
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_an_output_directory_that_cannot_be_made_is_a_one_line_data_error(
+    tmp_path, sample_dir
+):
+    (tmp_path / "blocker").write_text("")
+    parsed = tmp_path / "blocker" / "p"
+    cfg = Path(write_config(tmp_path, *sample_dir))
+    cfg.write_text(cfg.read_text().replace(f"={tmp_path / 'p'}\n", f"={parsed}\n"))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = subprocess.run(
+        [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
+        capture_output=True,
+        env=dict(os.environ, TMPDIR=str(tmp)),
+    )
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.decode() == (
+        f"pipeline: cannot create {parsed / 'PARSED_FILE'}: Not a directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "READING_TYPE_CONVERTER", "blocker", "cfg", "readings", "tmp",
+    ]
+    assert list(tmp.iterdir()) == []
+    assert processes_naming(str(tmp)) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_sigterm_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
     assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, signal.SIGTERM)
 
@@ -622,6 +649,22 @@ class TestStageRunner:
         assert list(tmp_path.iterdir()) == [tmp_path / "faults"]
         # Every tool is the runner's own child, reaped before it replied.
         self.assert_gone(runners[0])
+
+    def test_a_stage_too_large_for_the_runner_is_refused_before_it_is_sent(
+        self, tmp_path, runners, capfd
+    ):
+        out = tmp_path / "out"
+        capfd.readouterr()
+        with pytest.raises(
+            StageError,
+            match="^the commands of delr take [0-9]+ bytes, "
+            f"over the stage runner's limit of {1 << 16} bytes$",
+        ):
+            pipeline._run_stage([("delr", "2", "x" * 70000, "in.txt")], [str(out)])
+        assert capfd.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
+        (runner,) = runners
+        self.assert_gone(runner)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_the_runner_keeps_no_fd_of_a_stage(self, tmp_path):
