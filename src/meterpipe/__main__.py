@@ -6,7 +6,6 @@ stage runner the orchestrator starts once per pipeline run.
 """
 
 import _signal  # signal's functions without its enum import; already loaded
-import _socket
 import marshal
 import os
 import sys
@@ -31,7 +30,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help"):
         names = " ".join(sorted(_TOOLS))
-        print(f"usage: python -m meterpipe <tool> [args...]\ntools: {names}")
+        usage = f"usage: python -m meterpipe <tool> [args...]\ntools: {names}"
+        print(usage, file=sys.stdout if argv else sys.stderr)
         return 0 if argv else 1
     name = argv[0]
     if name not in _TOOLS:
@@ -42,42 +42,31 @@ def main(argv=None):
     return getattr(module, funcname)(argv[1:])
 
 
-# The largest message, in bytes, that either end of the runner's socket
-# receives; ``StageRunner.send`` refuses a stage whose commands exceed it.
-MESSAGE_MAX = 1 << 16
+def serve():
+    """The stage runner of one pipeline run.
 
-
-def serve(argv=None):
-    """The stage runner of one pipeline run: ``<socket fd>``.
-
-    Each message on the socket is one stage: its commands, as a
-    ``marshal``-ed list of argv lists, and two fds, the stage's stdin and
-    stdout.  The runner imports the stage's tool modules, caching their
-    bytecode under the ``sys.pycache_prefix`` the launcher set, and forks
-    one child per tool, as a shell forks the commands of a pipeline: each
-    reads the previous tool's pipe (the first, the stage's stdin) and
-    writes the next one's (the last, the stage's stdout).  Once it has
-    reaped every tool, it sends their exit statuses back in command order,
-    negative for a signal, as one ``marshal``-ed list.  It exits when the
-    orchestrator closes its end.  SIGTERM stops the runner and the stage
-    (see ``_stop``).
+    Each request on stdin is one stage, as one ``marshal``-ed tuple: its
+    commands (a list of argv lists), the files to feed the first command
+    (None: it reads /dev/null) and the path of the last command's stdout.
+    The runner imports the stage's tool modules, caching their bytecode
+    under the ``sys.pycache_prefix`` the launcher set, and forks one child
+    per tool, as a shell forks the commands of a pipeline: each reads the
+    previous tool's pipe and writes the next one's.  It then writes the
+    files into the first tool's pipe itself.  Once it has reaped every tool,
+    it replies on stdout with one ``marshal``-ed tuple: the tools' exit
+    statuses in command order, negative for a signal, and the feed's
+    ``cannot read <path>: <reason>``, or None.  It exits at the end of its
+    stdin.  SIGTERM stops the runner and the stage (see ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
     # Blocked by the orchestrator while it started this process.
     _signal.pthread_sigmask(_signal.SIG_UNBLOCK, (_signal.SIGINT, _signal.SIGTERM))
-    argv = sys.argv[1:] if argv is None else argv
     prefix = sys.pycache_prefix
-    # _socket, not socket: socket imports enum and selectors.
-    channel = _socket.socket(fileno=int(argv[0]))
     while True:
-        message, ancillary, _, _ = channel.recvmsg(MESSAGE_MAX, _socket.CMSG_SPACE(2 * 4))
-        if not message:
+        try:
+            commands, feed_paths, out_path = marshal.load(sys.stdin.buffer)
+        except EOFError:
             return 0
-        ((_, _, data),) = ancillary
-        stdin, stdout = (
-            int.from_bytes(data[i : i + 4], sys.byteorder, signed=True) for i in (0, 4)
-        )
-        commands = marshal.loads(message)
         # The tools import only standard modules after this (tempfile,
         # decimal); those load from the standard library's own bytecode
         # cache, so the prefix is set around these imports alone.
@@ -87,6 +76,11 @@ def serve(argv=None):
                 __import__(_TOOLS[name][0])
         sys.pycache_prefix = None
         sys.stderr.flush()  # or every tool writes it again
+        if feed_paths is None:
+            stdin, feed = os.open(os.devnull, os.O_RDONLY), None
+        else:
+            stdin, feed = os.pipe()
+        stdout = os.open(out_path, os.O_WRONLY)
         pids = []
         for i, command in enumerate(commands):
             read_end, write_end = os.pipe() if i < len(commands) - 1 else (None, stdout)
@@ -105,11 +99,48 @@ def serve(argv=None):
             os.close(stdin)
             os.close(write_end)
             stdin = read_end
+        feed_error = None if feed is None else _feed(feed_paths, feed, pids)
         codes = [os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]) for pid in pids]
         try:
-            channel.send(marshal.dumps(codes))
+            marshal.dump((codes, feed_error), sys.stdout.buffer)
+            sys.stdout.buffer.flush()
         except OSError:
             return 1  # the orchestrator has gone
+
+
+def _feed(paths, fd, pids):
+    """Write the files, in order, into the pipe ``fd``, then close it.
+    Returns ``cannot read <path>: <reason>`` for the first file that cannot
+    be read, else None; a tool that stops reading ends the feed silently,
+    as its exit status tells why.  A file that cannot be read kills the
+    stage's tools before the pipe is closed, so none runs on to the end of
+    a cut stream.  They get SIGKILL, the last tool first: a tool forked a
+    moment ago may not yet have reset the runner's SIGTERM handler, and a
+    tool downstream of a killed one would see its input end."""
+    pipe = open(fd, "wb")
+    error = None
+    try:
+        for path in paths:
+            try:
+                src = os.open(path, os.O_RDONLY)
+                try:
+                    while chunk := os.read(src, 1 << 16):
+                        pipe.write(chunk)
+                finally:
+                    os.close(src)
+            except BrokenPipeError:
+                break
+            except OSError as exc:
+                error = f"cannot read {path}: {exc.strerror}"
+                for pid in reversed(pids):
+                    os.kill(pid, _signal.SIGKILL)
+                break
+    finally:
+        try:
+            pipe.close()
+        except BrokenPipeError:
+            pass
+    return error
 
 
 def _stop(signum, frame):

@@ -26,6 +26,7 @@ from .core import (
     decimal_mul,
     format_decimal,
     parse_decimal,
+    parse_digits,
     read_config,
 )
 from .generator import GeneratorConfig, MASTER_FILENAME, generate_corpus
@@ -152,11 +153,15 @@ def load_bench_config(path):
     try:
         if "file_counts" in values:
             config.file_counts = tuple(
-                int(v) for v in values["file_counts"].split(",") if v
+                parse_digits(v.strip(), f"file_counts in {path}")
+                for v in values["file_counts"].split(",")
+                if v
             )
-        for key in ("repetitions", "warmups", "corpus_seed"):
+        for key in ("repetitions", "warmups"):
             if key in values:
-                setattr(config, key, int(values[key]))
+                setattr(config, key, parse_digits(values[key], f"{key} in {path}"))
+        if "corpus_seed" in values:
+            config.corpus_seed = int(values["corpus_seed"])
         if "invalid_ratio" in values:
             config.invalid_ratio = float(values["invalid_ratio"])
     except ValueError as exc:

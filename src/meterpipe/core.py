@@ -147,8 +147,9 @@ def decimal_mul(a, b):
 def read_config(path, keys):
     """Read a flat key=value file (``#`` comments, blank lines) into a dict.
 
-    A key outside ``keys`` is a UsageError naming it and ``path:line``, so a
-    misspelt setting fails instead of silently leaving its default in place.
+    A key outside ``keys``, or one given twice, is a UsageError naming it
+    and ``path:line``, so a misspelt or repeated setting fails instead of
+    silently leaving its default, or its first value, out.
     """
     values = {}
     try:
@@ -163,6 +164,8 @@ def read_config(path, keys):
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 if key not in keys:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in values:
+                    raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc

@@ -71,6 +71,9 @@ class GeneratorConfig:
             raise UsageError("file count must be >= 1")
         if self.meters < 1:
             raise UsageError("meter count must be >= 1")
+        if self.file_count > self.meters * 86400:
+            # Each file takes a (meter, second of the day) of its own.
+            raise UsageError(f"file count must be <= {self.meters * 86400}: 86400 per meter")
         if self.readings_per_file < 1:
             raise UsageError("readings per file must be >= 1")
         if not 0.0 <= self.invalid_ratio <= 1.0:

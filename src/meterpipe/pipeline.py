@@ -16,14 +16,12 @@ import marshal
 import os
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
 
-from .__main__ import MESSAGE_MAX
 from .core import DataError, UsageError, input_rows, read_config, run_tool
 from .generator import GeneratorConfig, generate_corpus
 
@@ -110,8 +108,8 @@ def load_config(path):
 
 
 # A pipeline run starts one process, the stage runner
-# (``meterpipe.__main__.serve``), as ``python -S -c LAUNCHER <cache dir>
-# <socket fd>``, and sends it every stage; it forks the stage's tools.  -S
+# (``meterpipe.__main__.serve``), as ``python -S -c LAUNCHER <cache dir>``,
+# and sends it every stage on its stdin; it forks the stage's tools.  -S
 # skips ``site`` (its .pth files can cost more than the tools' own imports)
 # and -c skips runpy; PYTHONPATH still applies.
 # LAUNCHER runs the orchestrator's own meterpipe and caches its bytecode in a
@@ -200,14 +198,13 @@ class StageRunner:
     The runner process starts at the first stage sent to it.  It is the
     leader of a process group of its own, forks each stage's tools and
     reaps them.  On leaving the block the runner is ended and reaped: on
-    success by closing its channel, on an exception by SIGTERM to its group.
+    success by closing its stdin, on an exception by SIGTERM to its group.
     Only then do the tools' CPU time and peak RSS count among this process's
     children.
     """
 
     def __init__(self):
         self.proc = None
-        self.channel = None
 
     def __enter__(self):
         return self
@@ -220,56 +217,40 @@ class StageRunner:
         if self.proc is not None:
             return
         cache_dir = _bytecode_cache()
-        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         # The runner must be known before a signal can stop the run, so
         # that close() stops it too; the runner unblocks the signals.
-        with theirs, _signals_held():
-            try:
-                self.proc = subprocess.Popen(
-                    [sys.executable, "-S", "-c", LAUNCHER, cache_dir, str(theirs.fileno())],
-                    stdin=subprocess.DEVNULL,
-                    stdout=subprocess.DEVNULL,
-                    pass_fds=(theirs.fileno(),),
-                    start_new_session=True,
-                )
-            except BaseException:
-                ours.close()
-                raise
-            self.channel = ours
-
-    def send(self, commands, fds):
-        """Send one stage: its commands, and its stdin and stdout fds.  Both
-        ends run ``sys.executable``, so ``marshal`` frames the commands.  A
-        stage too large for the runner's buffer is a StageError, unsent."""
-        message = marshal.dumps(commands)
-        if len(message) > MESSAGE_MAX:
-            names = " | ".join(command[0] for command in commands)
-            raise StageError(
-                f"the commands of {names} take {len(message)} bytes, "
-                f"over the stage runner's limit of {MESSAGE_MAX} bytes"
+        with _signals_held():
+            self.proc = subprocess.Popen(
+                [sys.executable, "-S", "-c", LAUNCHER, cache_dir],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                start_new_session=True,
             )
-        socket.send_fds(self.channel, [message], fds)
 
-    def reply(self):
-        """The exit status of each of the stage's tools, in command order
-        (negative for a signal), once the runner has reaped them all; None
-        if the runner has exited."""
+    def run(self, commands, feed_paths, out_path):
+        """Run one stage: its commands, the files the runner feeds to the
+        first command (None: it reads /dev/null) and the path the last
+        command's stdout goes to.  Returns each tool's exit status, in
+        command order (negative for a signal), and the feed's read error or
+        None; None if the runner has exited.  Both ends run
+        ``sys.executable``, so ``marshal`` frames both messages."""
         try:
-            # SOCK_SEQPACKET drops what a buffer cannot hold, silently.  At
-            # 5 bytes a status, a reply is shorter than its stage's
-            # commands, which the runner reads into as large a buffer.
-            reply = self.channel.recv(MESSAGE_MAX)
-        except ConnectionResetError:  # it exited with the stage unread
+            marshal.dump((commands, feed_paths, out_path), self.proc.stdin)
+            self.proc.stdin.flush()
+            return marshal.load(self.proc.stdout)
+        except (BrokenPipeError, EOFError):
             return None
-        return marshal.loads(reply) if reply else None
 
     def close(self, stop=False):
-        """End the runner and reap it: by closing its channel, or, with
+        """End the runner and reap it: by closing its stdin, or, with
         ``stop`` or if the wait is interrupted, by SIGTERM to its group."""
         if self.proc is None:
             return
         try:
-            self.channel.close()
+            try:
+                self.proc.stdin.close()
+            except BrokenPipeError:
+                pass  # it exited with a stage unread
             if not stop:
                 self.proc.wait()
         finally:
@@ -281,6 +262,7 @@ class StageRunner:
                 except ProcessLookupError:
                     pass  # it reaped every process and exited already
                 self.proc.wait()
+            self.proc.stdout.close()
             self.proc = None
 
 
@@ -294,16 +276,16 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
     temp file instead (cjoin1's ``--reject``).  Every output is renamed into
     place, with the mode a shell redirection would give it, only after every
     tool exits 0; otherwise the runner is stopped and every temp file is
-    removed.  ``feed_paths`` are streamed into the first command's stdin.
-    The tools' CPU time and peak RSS count among this process's children
-    once the runner is reaped, at the end of the run.
+    removed.  The runner streams ``feed_paths`` into the first command's
+    stdin; a file it cannot read is a DataError.  The tools' CPU time and
+    peak RSS count among this process's children once the runner is reaped,
+    at the end of the run.
     """
     if runner is None:
         with StageRunner() as runner:
             return _run_stage(commands, out_paths, feed_paths, runner=runner)
     runner.start()
     tmps = []
-    feed = None
     try:
         # A signal that lands as a temp file is made would leave it unlisted.
         with _signals_held():
@@ -311,53 +293,38 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
                 directory = os.path.dirname(path) or "."
                 try:
                     os.makedirs(directory, exist_ok=True)
-                    tmps.append(
-                        tempfile.NamedTemporaryFile(dir=directory, prefix=".stage-", delete=False)
-                    )
+                    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stage-")
                 except OSError as exc:
                     raise DataError(f"cannot create {path}: {exc.strerror}") from exc
-        for tmp in tmps[1:]:
-            tmp.close()  # the tools open these by name
-        renamed = {path: tmp.name for path, tmp in zip(out_paths, tmps)}
-        if feed_paths is None:
-            stdin = os.open(os.devnull, os.O_RDONLY)
-        else:
-            stdin, feed_w = os.pipe()
-            feed = open(feed_w, "wb")
-        try:
-            runner.send(
-                [[renamed.get(arg, arg) for arg in command] for command in commands],
-                (stdin, tmps[0].fileno()),
-            )
-        except ConnectionError:
-            pass  # the runner has exited; its reply says so
-        finally:
-            os.close(stdin)
-        if feed is not None:
-            _feed(feed_paths, feed)
-        codes = runner.reply()
-        if codes is None:
+                os.close(fd)  # the runner and the tools open these by name
+                tmps.append(tmp)
+        renamed = dict(zip(out_paths, tmps))
+        reply = runner.run(
+            [[renamed.get(arg, arg) for arg in command] for command in commands],
+            None if feed_paths is None else [os.fspath(path) for path in feed_paths],
+            tmps[0],
+        )
+        if reply is None:
             names = " | ".join(command[0] for command in commands)
             raise StageError(
                 f"stage runner of {names} exited with status {runner.proc.wait()} "
                 "before it reported"
             )
+        codes, feed_error = reply
+        if feed_error is not None:
+            raise DataError(feed_error)
         for command, code in zip(commands, codes):
             if code != 0:
                 raise StageError(f"{' '.join(command)} exited with status {code}")
     except BaseException:
         runner.close(stop=True)  # before the temp files go, which tools may open
-        _close_feed(feed)  # after the stop, so no tool sees EOF
         for tmp in tmps:
-            tmp.close()
-            os.unlink(tmp.name)
+            os.unlink(tmp)
         raise
-    _close_feed(feed)
-    tmps[0].close()
     with _signals_held():  # all of the stage's outputs, or none
         for path, tmp in zip(out_paths, tmps):
-            os.chmod(tmp.name, _OUTPUT_MODE)
-            os.replace(tmp.name, path)
+            os.chmod(tmp, _OUTPUT_MODE)
+            os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -368,31 +335,6 @@ def _signals_held():
         yield
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _close_feed(pipe):
-    """Close the feed pipe, if any, whatever its reader did."""
-    if pipe is not None:
-        try:
-            pipe.close()
-        except BrokenPipeError:
-            pass
-
-
-def _feed(paths, pipe):
-    """Stream the files, in order, into a tool's stdin, then close it."""
-    try:
-        for path in paths:
-            try:
-                with open(path, "rb") as f:
-                    shutil.copyfileobj(f, pipe, 1024 * 1024)
-            except BrokenPipeError:
-                raise
-            except OSError as exc:
-                raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-        pipe.close()
-    except BrokenPipeError:
-        pass  # a downstream failure will surface via exit codes
 
 
 def stage_parse(config, *, runner=None):

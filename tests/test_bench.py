@@ -150,6 +150,27 @@ class TestBenchConfig:
         with pytest.raises(UsageError):
             load_bench_config(str(f))
 
+    @pytest.mark.parametrize(
+        "body, bad",
+        [
+            ("file_counts=1_0\n", "file_counts"),
+            ("file_counts=10,\u0663\u0660\u0660\n", "file_counts"),
+            ("repetitions=+3\n", "repetitions"),
+            ("warmups=\u0663\n", "warmups"),
+        ],
+    )
+    def test_counts_take_ascii_digits_only(self, tmp_path, body, bad):
+        f = tmp_path / "bench.cfg"
+        f.write_text(body, encoding="utf-8")
+        with pytest.raises(UsageError, match=f"^invalid {bad} in {f} "):
+            load_bench_config(str(f))
+
+    def test_a_repeated_key_names_the_key_and_line(self, tmp_path):
+        f = tmp_path / "bench.cfg"
+        f.write_text("file_counts=10,100\nrepetitions=2\nfile_counts=1000\n")
+        with pytest.raises(UsageError, match=f"^{f}:3: repeated key 'file_counts'$"):
+            load_bench_config(str(f))
+
     def test_unknown_key_names_the_key_and_line(self, tmp_path):
         f = tmp_path / "bench.cfg"
         f.write_text("# quick run\nfile_counts=10\nrepetitons=5\n")

@@ -411,6 +411,14 @@ class TestDispatcher:
         )
         assert proc.returncode == 0
         assert b"xmldir" in proc.stdout
+        assert proc.stderr == b""
+
+    def test_no_tool_is_a_usage_error_on_stderr(self):
+        proc = subprocess.run([sys.executable, "-m", "meterpipe"], capture_output=True)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"usage: python -m meterpipe <tool>")
+        assert b"xmldir" in proc.stderr
 
 
 class TestToolStartup:
@@ -453,13 +461,42 @@ class TestToolStartup:
         _run_stage(
             [(tool, *args), ("self", "1")], [str(tmp_path / "out")], feed_paths=[one_row]
         )
-        imports = [
-            line.rpartition("|")[2].strip()
-            for line in capfd.readouterr().err.splitlines()
-            if line.startswith("import time:")
-        ]
+        imports = imported_modules(capfd.readouterr().err)
         assert "meterpipe.core" in imports
         assert any("decimal" in name for name in imports) == (tool == "sm2")
+
+    def test_no_socket_is_imported(self, tmp_path, capfd, monkeypatch):
+        # Stages go to the runner as data on its stdin; no socket carries them.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import meterpipe.pipeline"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imports = imported_modules(proc.stderr)
+        assert "meterpipe.pipeline" in imports
+        assert not [name for name in imports if "socket" in name]
+
+        from meterpipe.pipeline import _run_stage
+
+        rows = tmp_path / "rows"
+        rows.write_text("K a\n")
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # for the runner
+        capfd.readouterr()
+        _run_stage([("self", "1")], [str(tmp_path / "out")], feed_paths=[rows])
+        imports = imported_modules(capfd.readouterr().err)
+        assert "meterpipe.__main__" in imports
+        assert not [name for name in imports if "socket" in name]
+        assert (tmp_path / "out").read_text() == "K\n"
+
+
+def imported_modules(err):
+    """The modules that ``-X importtime`` lines on stderr name."""
+    return [
+        line.rpartition("|")[2].strip()
+        for line in err.splitlines()
+        if line.startswith("import time:")
+    ]
 
 
 class TestPipelineCli:
@@ -519,6 +556,30 @@ class TestPipelineCli:
         ]
         assert list((tmp_path / "p").iterdir()) == []
 
+    def test_an_unreadable_first_file_is_the_only_line(self, tmp_path, sample_dir):
+        # The feed fails before any byte reaches xmldir, which must not
+        # report an empty input of its own.
+        _, master = sample_dir
+        readings = tmp_path / "only"
+        readings.mkdir()
+        (readings / "a.xml").symlink_to(tmp_path / "missing.xml")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+            f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+            f"master_path={master}\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
+            capture_output=True,
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert lines(out.stderr) == [
+            f"pipeline: cannot read {readings / 'a.xml'}: No such file or directory"
+        ]
+        assert list((tmp_path / "p").iterdir()) == []
+
     def test_missing_config_is_a_usage_error(self, tmp_path):
         out = subprocess.run(
             [
@@ -556,6 +617,21 @@ class TestPipelineCli:
             capture_output=True,
         )
         assert out.returncode == 1
+
+    def test_gen_refuses_more_files_than_meters_have_seconds(self, tmp_path):
+        # One meter has 86,400 distinct seconds; file 86,401 has none left.
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "gen", "--files", "86401",
+             "--meters", "1", "--seed", "1", "--out", str(tmp_path / "r")],
+            capture_output=True,
+            timeout=60,
+        )
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert out.stderr.decode().splitlines() == [
+            "pipeline: file count must be <= 86400: 86400 per meter"
+        ]
+        assert not (tmp_path / "r").exists()
 
 
 class TestBenchCli:

@@ -189,6 +189,13 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             generate_corpus(make_config(tmp_path, **kwargs))
 
+    def test_no_more_files_than_meters_have_seconds(self, tmp_path):
+        # Each file takes a (meter, second of the day) of its own.
+        make_config(tmp_path, file_count=2 * 86400, meters=2).validate()
+        with pytest.raises(UsageError, match="^file count must be <= 172800: "):
+            make_config(tmp_path, file_count=2 * 86400 + 1, meters=2).validate()
+        assert not (tmp_path / "c").exists()
+
     def test_refuses_directories_with_existing_xml(self, tmp_path):
         out = tmp_path / "c"
         out.mkdir()
