@@ -46,16 +46,14 @@ def serve():
     """The stage runner of one pipeline run.
 
     Each request on stdin is one stage, as one ``marshal``-ed tuple: its
-    commands (a list of argv lists), the files to feed the first command
-    (None: it reads /dev/null) and the path of the last command's stdout.
-    The runner imports the stage's tool modules, caching their bytecode
-    under the ``sys.pycache_prefix`` the launcher set, and forks one child
-    per tool, as a shell forks the commands of a pipeline: each reads the
-    previous tool's pipe and writes the next one's.  It then writes the
-    files into the first tool's pipe itself.  Once it has reaped every tool,
-    it replies on stdout with one ``marshal``-ed tuple: the tools' exit
-    statuses in command order, negative for a signal, and the feed's
-    ``cannot read <path>: <reason>``, or None.  It exits at the end of its
+    commands (a list of argv lists) and the path of the last command's
+    stdout; the first command reads /dev/null.  The runner imports the
+    stage's tool modules, caching their bytecode under the
+    ``sys.pycache_prefix`` the launcher set, and forks one child per tool,
+    as a shell forks the commands of a pipeline: each reads the previous
+    tool's pipe and writes the next one's.  Once it has reaped every tool,
+    it replies on stdout with the tools' exit statuses in command order,
+    negative for a signal, ``marshal``-ed.  It exits at the end of its
     stdin.  SIGTERM stops the runner and the stage (see ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
@@ -64,7 +62,7 @@ def serve():
     prefix = sys.pycache_prefix
     while True:
         try:
-            commands, feed_paths, out_path = marshal.load(sys.stdin.buffer)
+            commands, out_path = marshal.load(sys.stdin.buffer)
         except EOFError:
             return 0
         # The tools import only standard modules after this (tempfile,
@@ -76,10 +74,7 @@ def serve():
                 __import__(_TOOLS[name][0])
         sys.pycache_prefix = None
         sys.stderr.flush()  # or every tool writes it again
-        if feed_paths is None:
-            stdin, feed = os.open(os.devnull, os.O_RDONLY), None
-        else:
-            stdin, feed = os.pipe()
+        stdin = os.open(os.devnull, os.O_RDONLY)
         stdout = os.open(out_path, os.O_WRONLY)
         pids = []
         for i, command in enumerate(commands):
@@ -99,48 +94,12 @@ def serve():
             os.close(stdin)
             os.close(write_end)
             stdin = read_end
-        feed_error = None if feed is None else _feed(feed_paths, feed, pids)
         codes = [os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]) for pid in pids]
         try:
-            marshal.dump((codes, feed_error), sys.stdout.buffer)
+            marshal.dump(codes, sys.stdout.buffer)
             sys.stdout.buffer.flush()
         except OSError:
             return 1  # the orchestrator has gone
-
-
-def _feed(paths, fd, pids):
-    """Write the files, in order, into the pipe ``fd``, then close it.
-    Returns ``cannot read <path>: <reason>`` for the first file that cannot
-    be read, else None; a tool that stops reading ends the feed silently,
-    as its exit status tells why.  A file that cannot be read kills the
-    stage's tools before the pipe is closed, so none runs on to the end of
-    a cut stream.  They get SIGKILL, the last tool first: a tool forked a
-    moment ago may not yet have reset the runner's SIGTERM handler, and a
-    tool downstream of a killed one would see its input end."""
-    pipe = open(fd, "wb")
-    error = None
-    try:
-        for path in paths:
-            try:
-                src = os.open(path, os.O_RDONLY)
-                try:
-                    while chunk := os.read(src, 1 << 16):
-                        pipe.write(chunk)
-                finally:
-                    os.close(src)
-            except BrokenPipeError:
-                break
-            except OSError as exc:
-                error = f"cannot read {path}: {exc.strerror}"
-                for pid in reversed(pids):
-                    os.kill(pid, _signal.SIGKILL)
-                break
-    finally:
-        try:
-            pipe.close()
-        except BrokenPipeError:
-            pass
-    return error
 
 
 def _stop(signum, frame):

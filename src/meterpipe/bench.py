@@ -27,6 +27,7 @@ from .core import (
     format_decimal,
     parse_decimal,
     parse_digits,
+    parse_ratio,
     read_config,
 )
 from .generator import GeneratorConfig, MASTER_FILENAME, generate_corpus
@@ -150,22 +151,17 @@ class BenchConfig:
 def load_bench_config(path):
     values = read_config(path, {f.name for f in fields(BenchConfig)})
     config = BenchConfig()
-    try:
-        if "file_counts" in values:
-            config.file_counts = tuple(
-                parse_digits(v.strip(), f"file_counts in {path}")
-                for v in values["file_counts"].split(",")
-                if v
-            )
-        for key in ("repetitions", "warmups"):
-            if key in values:
-                setattr(config, key, parse_digits(values[key], f"{key} in {path}"))
-        if "corpus_seed" in values:
-            config.corpus_seed = int(values["corpus_seed"])
-        if "invalid_ratio" in values:
-            config.invalid_ratio = float(values["invalid_ratio"])
-    except ValueError as exc:
-        raise UsageError(f"bad value in {path}: {exc}") from exc
+    if "file_counts" in values:
+        config.file_counts = tuple(
+            parse_digits(v.strip(), f"file_counts in {path}")
+            for v in values["file_counts"].split(",")
+            if v
+        )
+    for key in ("repetitions", "warmups", "corpus_seed"):
+        if key in values:
+            setattr(config, key, parse_digits(values[key], f"{key} in {path}"))
+    if "invalid_ratio" in values:
+        config.invalid_ratio = parse_ratio(values["invalid_ratio"], f"invalid_ratio in {path}")
     if values.get("workdir"):
         config.workdir = values["workdir"]
     config.validate()

@@ -9,7 +9,6 @@ the tool modules stay deliberately light to import: no argparse, no
 dataclasses, no re.
 """
 
-import io
 import sys
 
 EXIT_OK = 0
@@ -49,6 +48,15 @@ def parse_digits(text, what):
         return int(text)
     except ValueError:  # beyond int()'s limit on decimal digits
         raise UsageError(f"{what} of {len(text)} digits is too long") from None
+
+
+def parse_ratio(text, what):
+    """Parse ASCII digits with an optional ``.digits`` fraction as a float;
+    anything else is a UsageError naming ``what``."""
+    whole, dot, fraction = text.partition(".")
+    if not _is_digits(whole) or (dot and not _is_digits(fraction)):
+        raise UsageError(f"invalid {what} {text!r}")
+    return float(text)
 
 
 def parse_fieldspec(text):
@@ -184,14 +192,21 @@ def open_text(file, mode="r"):
     return open(file, mode, **_TEXT_KW)
 
 
-def open_text_input(path):
-    """Open a named file, or stdin for ``-``, as a tool text stream."""
+def open_input(path, mode, **kwargs):
+    """Open a named file, or stdin for ``-``, as ``open(path, mode,
+    **kwargs)`` would.  Closing stdin's stream leaves fd 0 open, so a later
+    ``-`` reads on from there."""
     if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, **_TEXT_KW)
+        return open(sys.stdin.fileno(), mode, closefd=False, **kwargs)
     try:
-        return open_text(path)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
+
+
+def open_text_input(path):
+    """Open a named file, or stdin for ``-``, as a tool text stream."""
+    return open_input(path, "r", **_TEXT_KW)
 
 
 def read_rows(stream):

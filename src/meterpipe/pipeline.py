@@ -22,7 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass, fields
 
-from .core import DataError, UsageError, input_rows, read_config, run_tool
+from .core import DataError, UsageError, input_rows, parse_digits, parse_ratio, read_config, run_tool
 from .generator import GeneratorConfig, generate_corpus
 
 ELEMENT_PATH = "/MeterReadings/MeterReading"
@@ -227,15 +227,14 @@ class StageRunner:
                 start_new_session=True,
             )
 
-    def run(self, commands, feed_paths, out_path):
-        """Run one stage: its commands, the files the runner feeds to the
-        first command (None: it reads /dev/null) and the path the last
-        command's stdout goes to.  Returns each tool's exit status, in
-        command order (negative for a signal), and the feed's read error or
-        None; None if the runner has exited.  Both ends run
-        ``sys.executable``, so ``marshal`` frames both messages."""
+    def run(self, commands, out_path):
+        """Run one stage: its commands, the first of which reads /dev/null,
+        and the path the last command's stdout goes to.  Returns each
+        tool's exit status, in command order (negative for a signal); None
+        if the runner has exited.  Both ends run ``sys.executable``, so
+        ``marshal`` frames both messages."""
         try:
-            marshal.dump((commands, feed_paths, out_path), self.proc.stdin)
+            marshal.dump((commands, out_path), self.proc.stdin)
             self.proc.stdin.flush()
             return marshal.load(self.proc.stdout)
         except (BrokenPipeError, EOFError):
@@ -276,10 +275,10 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
     temp file instead (cjoin1's ``--reject``).  Every output is renamed into
     place, with the mode a shell redirection would give it, only after every
     tool exits 0; otherwise the runner is stopped and every temp file is
-    removed.  The runner streams ``feed_paths`` into the first command's
-    stdin; a file it cannot read is a DataError.  The tools' CPU time and
-    peak RSS count among this process's children once the runner is reaped,
-    at the end of the run.
+    removed.  ``feed_paths`` become the first command's trailing arguments,
+    so it opens them itself; it reads /dev/null as stdin.  The tools' CPU
+    time and peak RSS count among this process's children once the runner
+    is reaped, at the end of the run.
     """
     if runner is None:
         with StageRunner() as runner:
@@ -299,20 +298,17 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
                 os.close(fd)  # the runner and the tools open these by name
                 tmps.append(tmp)
         renamed = dict(zip(out_paths, tmps))
-        reply = runner.run(
-            [[renamed.get(arg, arg) for arg in command] for command in commands],
-            None if feed_paths is None else [os.fspath(path) for path in feed_paths],
-            tmps[0],
-        )
-        if reply is None:
+        sent = [[renamed.get(arg, arg) for arg in command] for command in commands]
+        # A path that starts with "-" would read as an option, or as stdin.
+        paths = map(os.fspath, feed_paths or ())
+        sent[0] += (os.path.join(os.curdir, p) if p.startswith("-") else p for p in paths)
+        codes = runner.run(sent, tmps[0])
+        if codes is None:
             names = " | ".join(command[0] for command in commands)
             raise StageError(
                 f"stage runner of {names} exited with status {runner.proc.wait()} "
                 "before it reported"
             )
-        codes, feed_error = reply
-        if feed_error is not None:
-            raise DataError(feed_error)
         for command, code in zip(commands, codes):
             if code != 0:
                 raise StageError(f"{' '.join(command)} exited with status {code}")
@@ -343,7 +339,7 @@ def stage_parse(config, *, runner=None):
     if not files:
         raise DataError(f"no *.xml files under {config.readings_dir}")
     commands = [
-        ("xmldir", ELEMENT_PATH, "-"),
+        ("xmldir", ELEMENT_PATH),
         ("self", "NF-1", "NF"),
         ("filter-tags",),
         ("delr", "2", "MeterID"),
@@ -475,12 +471,13 @@ def main(argv=None):
         stage_p.add_argument("--config", required=True)
 
     gen_p = sub.add_parser("gen", help="generate a deterministic XML corpus")
-    gen_p.add_argument("--files", type=int, required=True)
-    gen_p.add_argument("--meters", type=int, required=True)
-    gen_p.add_argument("--invalid-ratio", type=float, default=0.0)
-    gen_p.add_argument("--seed", type=int, required=True)
+    # Numbers are parsed in body(), so a bad one is a usage error (exit 1).
+    gen_p.add_argument("--files", required=True)
+    gen_p.add_argument("--meters", required=True)
+    gen_p.add_argument("--invalid-ratio", default="0.0")
+    gen_p.add_argument("--seed", required=True)
     gen_p.add_argument("--out", required=True)
-    gen_p.add_argument("--readings", type=int, default=3)
+    gen_p.add_argument("--readings", default="3")
     gen_p.add_argument("--date", default="2021-01-01")
 
     args = parser.parse_args(argv)
@@ -495,12 +492,12 @@ def main(argv=None):
                 ) from exc
             stats = generate_corpus(
                 GeneratorConfig(
-                    file_count=args.files,
-                    meters=args.meters,
-                    seed=args.seed,
+                    file_count=parse_digits(args.files, "--files value"),
+                    meters=parse_digits(args.meters, "--meters value"),
+                    seed=parse_digits(args.seed, "--seed value"),
                     out_dir=args.out,
-                    readings_per_file=args.readings,
-                    invalid_ratio=args.invalid_ratio,
+                    readings_per_file=parse_digits(args.readings, "--readings value"),
+                    invalid_ratio=parse_ratio(args.invalid_ratio, "--invalid-ratio value"),
                     date=date,
                 )
             )

@@ -125,7 +125,7 @@ def _group_row(key, totals):
 
 
 def msort_main(argv=None):
-    usage = "usage: msort key=<spec> [--mem <bytes>] [file]"
+    usage = "usage: msort key=<spec> [--mem <bytes>] [file|-]..."
 
     def rows(args, mem=None):
         if not args or not args[0].startswith("key="):
@@ -136,8 +136,8 @@ def msort_main(argv=None):
             mem_bytes = parse_digits(mem, "--mem value")
             if mem_bytes < 1:
                 raise UsageError("--mem must be positive")
-        path = optional_file(args[1:], usage)
-        return merge_sort_rows(key_spec, input_rows(path), mem_bytes)
+        rows = (row for path in args[1:] or ["-"] for row in input_rows(path))
+        return merge_sort_rows(key_spec, rows, mem_bytes)
 
     return stream_tool("msort", usage, argv, rows, options=("mem",))
 

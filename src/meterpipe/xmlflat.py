@@ -1,4 +1,4 @@
-"""xmldir: flatten a stream of XML documents into path-prefixed text rows.
+"""xmldir: flatten XML files into path-prefixed text rows.
 
 For every element whose root path matches the requested absolute path,
 each text-only descendant element becomes one row (path components then
@@ -6,7 +6,8 @@ the text) and each attribute becomes one row (path components including
 the owning element, then the attribute name and value).  Rows come out
 in document order.
 
-The input may be any number of well-formed documents back to back, as
+Each named file is parsed on its own, in order, and an error names it.
+Stdin may hold any number of well-formed documents back to back, as
 produced by concatenating files; parser state resets at each new root.
 """
 
@@ -15,8 +16,7 @@ from xml.parsers import expat
 from .core import (
     DataError,
     UsageError,
-    open_text_input,
-    optional_file,
+    open_input,
     stream_tool,
     text_stdout,
 )
@@ -185,18 +185,29 @@ def flatten_bytes(data, path):
 
 
 def main(argv=None):
-    usage = "usage: xmldir <absolute-element-path> [file|-]"
+    usage = "usage: xmldir <absolute-element-path> [file|-]..."
 
     def rows(args):
         if not args:
             raise UsageError(usage)
         target = parse_element_path(args[0])
         write = text_stdout().write
+
+        def emit(row):
+            write(row + "\n")
+
         # expat pushes rows as it parses, so they are written here as they
-        # come; the bytes are read below the text layer.
-        with open_text_input(optional_file(args[1:], usage)) as source:
-            read = source.buffer.read
-            flatten_stream(lambda: read(_CHUNK_SIZE), target, lambda row: write(row + "\n"))
+        # come.  The bytes are read unbuffered: a buffered or text stream
+        # costs more to set up than a small corpus file takes to read.
+        for path in args[1:] or ["-"]:
+            with open_input(path, "rb", buffering=0) as source:
+                read = source.read
+                try:
+                    flatten_stream(lambda: read(_CHUNK_SIZE), target, emit)
+                except DataError as exc:
+                    if path == "-":
+                        raise
+                    raise DataError(f"{path}: {exc}") from exc
         return ()
 
     return stream_tool("xmldir", usage, argv, rows)

@@ -157,6 +157,8 @@ class TestBenchConfig:
             ("file_counts=10,\u0663\u0660\u0660\n", "file_counts"),
             ("repetitions=+3\n", "repetitions"),
             ("warmups=\u0663\n", "warmups"),
+            ("corpus_seed=1_0\n", "corpus_seed"),
+            ("invalid_ratio=\u0660.\u0665\n", "invalid_ratio"),
         ],
     )
     def test_counts_take_ascii_digits_only(self, tmp_path, body, bad):

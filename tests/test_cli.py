@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -17,6 +18,8 @@ from conftest import (
     launcher_running,
     run_tool,
 )
+from meterpipe.generator import GeneratorConfig, generate_corpus
+from meterpipe.pipeline import find_xml_files
 
 
 def lines(raw):
@@ -52,6 +55,32 @@ class TestXmldirCli:
     def test_missing_file_is_a_usage_error(self):
         proc = run_tool("xmldir", ELEMENT_PATH, "/nonexistent/file.xml")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_named_files_flatten_as_their_concatenation_does(self, tmp_path, seed):
+        generate_corpus(
+            GeneratorConfig(file_count=40, meters=7, seed=seed, out_dir=str(tmp_path),
+                            invalid_ratio=0.2)
+        )
+        files = find_xml_files(str(tmp_path))
+        assert len(files) == 40
+        joined = b"".join(Path(f).read_bytes() for f in files)
+        piped = run_tool("xmldir", ELEMENT_PATH, "-", stdin=joined, check=True)
+        named = run_tool("xmldir", ELEMENT_PATH, *files, check=True)
+        assert named.stdout == piped.stdout
+        assert len(lines(named.stdout)) > 40
+
+    def test_holds_one_file_open_at_a_time(self, tmp_path):
+        files = []
+        for i in range(200):
+            files.append(tmp_path / f"{i:03d}.xml")
+            files[-1].write_text(SAMPLE_XML)
+        proc = run_tool(
+            "xmldir", ELEMENT_PATH, *files,
+            extra=dict(preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert lines(proc.stdout) == SAMPLE_FLAT_ROWS * 200
 
 
 class TestRowToolsCli:
@@ -279,6 +308,14 @@ class TestSortAggCli:
         proc = run_tool("msort", "key=1", stdin=b"b 2\na 1\nc 3\n")
         assert lines(proc.stdout) == ["a 1", "b 2", "c 3"]
 
+    def test_msort_sorts_several_files_and_stdin_as_one_input(self, tmp_path):
+        first = tmp_path / "first"
+        first.write_text("b 1\na 1\n")
+        # Stable across files; a second "-" finds stdin at its end.
+        proc = run_tool("msort", "key=1", str(first), "-", str(first), "-", stdin=b"a 2\n")
+        assert proc.returncode == 0, proc.stderr
+        assert lines(proc.stdout) == ["a 1", "a 2", "a 1", "b 1", "b 1"]
+
     def test_msort_with_tiny_memory_budget(self, tmp_path):
         rows = "".join(f"k{i % 7} row{i}\n" for i in range(500)).encode()
         proc = run_tool("msort", "key=1", "--mem", "64", stdin=rows)
@@ -375,11 +412,19 @@ class TestStreamToolContract:
         assert proc.stdout.startswith(f"usage: {tool} ".encode())
         assert proc.stderr == b""
 
-        empty = tmp_path / "empty"
-        empty.write_bytes(b"")
-        proc = run_tool(tool, *leading(tool), str(empty), "extra")
+        # One document, or one row: xmldir and msort take each trailing
+        # argument as a file, and the others refuse a second one.
+        one = tmp_path / "one"
+        one.write_bytes(b"<a/>\n")
+        extra = tmp_path / "extra"
+        proc = run_tool(tool, *leading(tool), str(one), str(extra))
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"{tool}: ".encode())
+        if tool in ("xmldir", "msort"):
+            assert proc.stderr == (
+                f"{tool}: cannot open {extra}: No such file or directory\n".encode()
+            )
+        else:
+            assert proc.stderr.startswith(f"{tool}: unexpected argument ".encode())
         assert proc.stdout == b""
 
         proc = run_tool(tool, *leading(tool), str(tmp_path / "missing"))
@@ -490,6 +535,20 @@ class TestToolStartup:
         assert (tmp_path / "out").read_text() == "K\n"
 
 
+def run_pipeline(tmp_path, readings, master):
+    """``pipeline run`` over ``readings``, with its outputs under tmp_path."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
+        f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
+        f"master_path={master}\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
+        capture_output=True,
+    )
+
+
 def imported_modules(err):
     """The modules that ``-X importtime`` lines on stderr name."""
     return [
@@ -536,47 +595,58 @@ class TestPipelineCli:
         assert b"total:" in out.stdout
         assert (tmp_path / "v" / "ALL_VALID_READINGS").exists()
 
-    def test_unreadable_corpus_file_exits_2_with_one_line(self, tmp_path, sample_dir):
+    def test_unreadable_corpus_file_exits_2_naming_it(self, tmp_path, sample_dir):
         readings, master = sample_dir
         (readings / "zz.xml").symlink_to(tmp_path / "missing.xml")
-        cfg = tmp_path / "cfg"
-        cfg.write_text(
-            f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
-            f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
-            f"master_path={master}\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
-            capture_output=True,
-        )
+        out = run_pipeline(tmp_path, readings, master)
         assert out.returncode == 2
         assert out.stdout == b""
         assert lines(out.stderr) == [
-            f"pipeline: cannot read {readings / 'zz.xml'}: No such file or directory"
+            f"xmldir: cannot open {readings / 'zz.xml'}: No such file or directory",
+            f"pipeline: xmldir {ELEMENT_PATH} exited with status 1",
         ]
         assert list((tmp_path / "p").iterdir()) == []
 
-    def test_an_unreadable_first_file_is_the_only_line(self, tmp_path, sample_dir):
-        # The feed fails before any byte reaches xmldir, which must not
-        # report an empty input of its own.
+    def test_an_unreadable_first_file_is_named_once(self, tmp_path, sample_dir):
+        # xmldir stops at the file it cannot open; no later tool, and no
+        # empty input, adds a line.
         _, master = sample_dir
         readings = tmp_path / "only"
         readings.mkdir()
         (readings / "a.xml").symlink_to(tmp_path / "missing.xml")
-        cfg = tmp_path / "cfg"
-        cfg.write_text(
-            f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
-            f"valid_dir={tmp_path / 'v'}\ncorrected_dir={tmp_path / 'c'}\n"
-            f"master_path={master}\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
-            capture_output=True,
-        )
+        out = run_pipeline(tmp_path, readings, master)
         assert out.returncode == 2
         assert out.stdout == b""
         assert lines(out.stderr) == [
-            f"pipeline: cannot read {readings / 'a.xml'}: No such file or directory"
+            f"xmldir: cannot open {readings / 'a.xml'}: No such file or directory",
+            f"pipeline: xmldir {ELEMENT_PATH} exited with status 1",
+        ]
+        assert list((tmp_path / "p").iterdir()) == []
+
+    def test_a_malformed_file_is_named_with_its_own_byte_offset(self, tmp_path, sample_dir):
+        readings, master = sample_dir
+        # The first file's bytes would count towards a stream-wide offset.
+        (readings / "b.xml").write_text("<MeterReadings><MeterReading></Meter>")
+        out = run_pipeline(tmp_path, readings, master)
+        assert out.returncode == 2
+        assert out.stdout == b""
+        err = lines(out.stderr)
+        assert f"xmldir: {readings / 'b.xml'}: malformed XML at byte 31: mismatched tag" in err
+        assert err[-1] == f"pipeline: xmldir {ELEMENT_PATH} exited with status 2"
+        assert list((tmp_path / "p").iterdir()) == []
+
+    @pytest.mark.parametrize("content", ["", "<!-- no readings yet -->\n"])
+    def test_a_file_with_no_document_fails_the_parse_naming_it(
+        self, tmp_path, sample_dir, content
+    ):
+        readings, master = sample_dir
+        (readings / "b.xml").write_text(content)
+        out = run_pipeline(tmp_path, readings, master)
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert lines(out.stderr) == [
+            f"xmldir: {readings / 'b.xml'}: no XML document found in input",
+            f"pipeline: xmldir {ELEMENT_PATH} exited with status 2",
         ]
         assert list((tmp_path / "p").iterdir()) == []
 
@@ -617,6 +687,29 @@ class TestPipelineCli:
             capture_output=True,
         )
         assert out.returncode == 1
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--files", "\u0663"),
+            ("--meters", "1_0"),
+            ("--seed", " +7"),
+            ("--readings", "-3"),
+            ("--invalid-ratio", "\u0660.\u0665"),
+            ("--invalid-ratio", "5e-1"),
+        ],
+    )
+    def test_gen_numbers_take_ascii_digits_only(self, tmp_path, option, value):
+        argv = {"--files": "3", "--meters": "2", "--seed": "7", option: value}
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "gen",
+             *(arg for pair in argv.items() for arg in pair), "--out", str(tmp_path / "r")],
+            capture_output=True,
+        )
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert lines(out.stderr) == [f"pipeline: invalid {option} value {value!r}"]
+        assert not (tmp_path / "r").exists()
 
     def test_gen_refuses_more_files_than_meters_have_seconds(self, tmp_path):
         # One meter has 86,400 distinct seconds; file 86,401 has none left.

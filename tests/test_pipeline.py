@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    ELEMENT_PATH,
     SAMPLE_PARSED_ROWS,
     SAMPLE_VALID_ROWS,
     SAMPLE_XML,
@@ -230,13 +231,17 @@ class TestStageErrors:
         assert not os.path.exists(config.parsed_file)
         assert list(Path(config.parsed_dir).iterdir()) == []
 
-    def test_unreadable_file_is_a_data_error_naming_it(self, tmp_path, sample_dir):
+    def test_unreadable_file_is_a_data_error_naming_it(self, tmp_path, sample_dir, capfd):
         readings, master = sample_dir
         dangling = readings / "zz.xml"
         dangling.symlink_to(tmp_path / "missing.xml")
         config = make_pipeline_config(tmp_path, readings, master)
-        with pytest.raises(DataError, match=f"cannot read {dangling}: "):
+        capfd.readouterr()
+        with pytest.raises(StageError, match=f"^xmldir {ELEMENT_PATH} exited with status 1$"):
             stage_parse(config)
+        assert capfd.readouterr().err == (
+            f"xmldir: cannot open {dangling}: No such file or directory\n"
+        )
         assert list(Path(config.parsed_dir).iterdir()) == []
 
     def test_failed_validate_keeps_the_old_outputs(self, tmp_path, sample_dir):
@@ -437,8 +442,8 @@ def processes_naming(text):
 
 def assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, signum):
     readings, master = sample_dir
-    # The runner blocks opening this FIFO to feed it to the parse stage,
-    # whose tools are started and waiting for input.
+    # xmldir blocks opening this FIFO, with the parse stage's other tools
+    # started and waiting for input.
     os.mkfifo(readings / "zz.xml")
     tmp = tmp_path / "tmp"
     tmp.mkdir()
@@ -504,8 +509,8 @@ def test_sigint_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_sigterm_stops_a_batched_run_and_leaves_nothing_behind(tmp_path):
     config = batched_config(tmp_path)
-    # The run's runner has served batches b0-b2 when it blocks opening
-    # this FIFO to feed b3's parse stage.
+    # The run's runner has served batches b0-b2 when b3's xmldir blocks
+    # opening this FIFO.
     os.mkfifo(Path(config.readings_dir) / "b3" / "zz.xml")
     tmp = tmp_path / "tmp"
     tmp.mkdir()
@@ -611,17 +616,20 @@ class TestStageRunner:
             pipeline._run_stage(commands, [str(out)], feed_paths=[rows])
         self.assert_gone(runners[0])
 
-    def test_a_failed_feed_stops_the_stage(self, tmp_path, sample_dir, runners, capfd):
+    def test_an_unreadable_file_fails_the_stage(self, tmp_path, sample_dir, runners, capfd):
         readings, master = sample_dir
-        # More than the pipes hold, so the tools are running when it fails,
-        # and a cut document: a tool that saw the stream end would say so.
-        (readings / "a.xml").write_text(SAMPLE_XML * 2000 + "<MeterReadings>")
-        (readings / "zz.xml").symlink_to(tmp_path / "missing.xml")
+        # More than the pipes hold, so the tools are running when xmldir
+        # reaches the file it cannot open.
+        (readings / "a.xml").write_text(SAMPLE_XML * 2000)
+        dangling = readings / "zz.xml"
+        dangling.symlink_to(tmp_path / "missing.xml")
         config = make_pipeline_config(tmp_path, readings, master)
         capfd.readouterr()
-        with pytest.raises(DataError, match="cannot read .*zz.xml: "):
+        with pytest.raises(StageError, match=f"^xmldir {ELEMENT_PATH} exited with status 1$"):
             stage_parse(config)
-        assert capfd.readouterr().err == ""
+        assert capfd.readouterr().err == (
+            f"xmldir: cannot open {dangling}: No such file or directory\n"
+        )
         assert list(Path(config.parsed_dir).iterdir()) == []
         (runner,) = runners
         self.assert_gone(runner)
@@ -662,18 +670,20 @@ class TestStageRunner:
         self.assert_gone(runners[0])
 
     def test_a_stage_of_any_size_reaches_the_runner_whole(self, tmp_path, runners):
-        # An argument over 64 KiB and a feed list of 1,000 paths: every row
-        # arrives, in feed order, and only the row the argument names goes.
+        # An argument over 64 KiB and 1,000 paths for the first tool: every
+        # row arrives, in file order (msort is stable on the one key), and
+        # only the row the argument names goes.
         long = "x" * 70000
         rows = tmp_path / "rows"
         rows.mkdir()
         feed = []
         for i in range(1000):
             feed.append(rows / f"{i:04d}")
-            feed[-1].write_text(f"r{i} {long if i == 500 else i}\n")
+            feed[-1].write_text(f"r{i} {long if i == 500 else i} k\n")
         out = tmp_path / "out"
-        pipeline._run_stage([("delr", "2", long)], [str(out)], feed_paths=feed)
-        assert out.read_text().splitlines() == [f"r{i} {i}" for i in range(1000) if i != 500]
+        commands = [("msort", "key=3"), ("delr", "2", long)]
+        pipeline._run_stage(commands, [str(out)], feed_paths=feed)
+        assert out.read_text().splitlines() == [f"r{i} {i} k" for i in range(1000) if i != 500]
         (runner,) = runners
         self.assert_gone(runner)
         assert runner.returncode == 0
@@ -800,6 +810,15 @@ def test_a_batched_run_aggregates_as_before(tmp_path):
     config = batched_config(tmp_path)
     run_batches(config)
     assert Path(config.aggregate_file).read_bytes() == BATCHED_AGGREGATE
+
+
+def test_a_file_argument_that_starts_with_a_dash_is_not_an_option(tmp_path, monkeypatch):
+    # The batch aggregates reach msort as arguments; --mem=1/b0/... is a path.
+    config = batched_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    config.corrected_dir = "--mem=1"
+    run_batches(config)
+    assert (tmp_path / "--mem=1" / "MEASURED_VALUES_by_TYPE").read_bytes() == BATCHED_AGGREGATE
 
 
 class TestFindXmlFiles:
