@@ -8,7 +8,6 @@ storage cost model exactly; ``bench reduction`` measures how much smaller
 parsed output is than its XML source.
 """
 
-import argparse
 import csv
 import os
 import shutil
@@ -21,7 +20,6 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 
 from .core import (
-    DataError,
     UsageError,
     decimal_mul,
     format_decimal,
@@ -32,6 +30,7 @@ from .core import (
 )
 from .generator import GeneratorConfig, MASTER_FILENAME, generate_corpus
 from .pipeline import (
+    ArgumentParser,
     PipelineConfig,
     find_xml_files,
     run_cli,
@@ -85,8 +84,6 @@ def _as_decimal(value):
 
 def volume_projection(meters, readings_per_day, bytes_per_reading):
     """Bytes produced per day; exact integer arithmetic."""
-    if meters < 0 or readings_per_day < 0 or bytes_per_reading < 0:
-        raise UsageError("volume factors must be non-negative")
     return meters * readings_per_day * bytes_per_reading
 
 _UNITS = (
@@ -289,36 +286,12 @@ def _bench_one(config, workdir, file_count):
         )
 
 
-def load_report(path):
-    """Read a benchmark CSV back into typed rows (round-trips exactly)."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(line for line in f if not line.startswith("#"))
-        header = next(reader, None)
-        if header is not None and tuple(header) != CSV_COLUMNS:
-            raise DataError(f"unexpected CSV header in {path}")
-        for row in reader:
-            rows.append(
-                (
-                    int(row[0]),
-                    row[1],
-                    float(row[2]),
-                    float(row[3]),
-                    float(row[4]),
-                    float(row[5]),
-                    int(row[6]),
-                    int(row[7]),
-                )
-            )
-    return rows
-
-
 # --- CLI --------------------------------------------------------------------
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="bench",
         description="Benchmark the pipeline stages and model storage costs.",
     )
@@ -331,7 +304,8 @@ def main(argv=None):
     cost_p = sub.add_parser("cost", help="cumulative cloud storage cost")
     cost_p.add_argument("--D", required=True, help="GB of new data per month")
     cost_p.add_argument("--alpha", required=True, help="price per GB per month")
-    cost_p.add_argument("--months", type=int, required=True)
+    # Counts are parsed in body(): type=int would take "٣", "1_0" and " 2".
+    cost_p.add_argument("--months", required=True)
     cost_p.add_argument("--table", action="store_true", help="print C(1)..C(months)")
 
     red_p = sub.add_parser("reduction", help="storage saved by parsing")
@@ -339,9 +313,9 @@ def main(argv=None):
     red_p.add_argument("parsedfile")
 
     vol_p = sub.add_parser("volume", help="projected data volume per day")
-    vol_p.add_argument("--meters", type=int, required=True)
-    vol_p.add_argument("--readings-per-day", type=int, required=True)
-    vol_p.add_argument("--bytes-per-reading", type=int, required=True)
+    vol_p.add_argument("--meters", required=True)
+    vol_p.add_argument("--readings-per-day", required=True)
+    vol_p.add_argument("--bytes-per-reading", required=True)
 
     args = parser.parse_args(argv)
 
@@ -353,17 +327,20 @@ def main(argv=None):
         elif args.command == "cost":
             d = parse_decimal(args.D)
             alpha = parse_decimal(args.alpha)
+            months = parse_digits(args.months, "--months value")
             if args.table:
-                for month, value in cost_table(d, alpha, args.months):
+                for month, value in cost_table(d, alpha, months):
                     print(f"{month} {format_decimal(value)}")
             else:
-                print(format_decimal(cost(d, alpha, args.months)))
+                print(format_decimal(cost(d, alpha, months)))
         elif args.command == "reduction":
             fraction = size_reduction(args.xmldir, args.parsedfile)
             print(f"{fraction:.4f}")
         elif args.command == "volume":
             total = volume_projection(
-                args.meters, args.readings_per_day, args.bytes_per_reading
+                parse_digits(args.meters, "--meters value"),
+                parse_digits(args.readings_per_day, "--readings-per-day value"),
+                parse_digits(args.bytes_per_reading, "--bytes-per-reading value"),
             )
             print(format_volume(total))
 

@@ -256,19 +256,20 @@ def run_tool(prog, body):
     """Run a tool body under the uniform CLI contract and return an exit code."""
     try:
         body()
-    except UsageError as exc:
+    except (UsageError, DataError) as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except BrokenPipeError:
-        # Downstream closed early; die quietly like any pipeline filter.
+        return exc.exit_code
+    except OSError as exc:
+        # Downstream closed early (EPIPE), or a write to stdout or a spool
+        # failed (EFBIG, ENOSPC, EIO); the rows still buffered go too.
         try:
             sys.stdout.close()
         except OSError:
             pass
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK  # die quietly like any pipeline filter
+        print(f"{prog}: {exc.filename or 'cannot write'}: {exc.strerror}", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

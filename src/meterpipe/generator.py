@@ -6,9 +6,8 @@ the planted invalid-reading count, so pipeline output can be checked
 end to end.  A fixed seed reproduces the corpus byte for byte.
 """
 
-import datetime
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DataError, UsageError, decimal_add, format_decimal, parse_decimal
 
@@ -64,7 +63,6 @@ class GeneratorConfig:
     out_dir: str
     readings_per_file: int = 3
     invalid_ratio: float = 0.0
-    date: datetime.date = field(default_factory=lambda: datetime.date(2021, 1, 1))
 
     def validate(self):
         if self.file_count < 1:
@@ -94,18 +92,6 @@ class CorpusStats:
 
 def _meter_id(n):
     return f"SM{n:09d}VG"
-
-
-def _timestamp(date, second_of_day):
-    h, rem = divmod(second_of_day, 3600)
-    m, s = divmod(rem, 60)
-    return f"{date.isoformat()}T{h:02d}:{m:02d}:{s:02d}Z"
-
-
-def _compact_timestamp(date, second_of_day):
-    h, rem = divmod(second_of_day, 3600)
-    m, s = divmod(rem, 60)
-    return f"{date.year:04d}{date.month:02d}{date.day:02d}{h:02d}{m:02d}{s:02d}"
 
 
 def _invalid_code(rng):
@@ -182,8 +168,11 @@ def generate_corpus(config):
             readings.append((text, code))
             readings_total += 1
 
-        content = render_file(meter, _timestamp(config.date, second), readings)
-        filename = f"READINGS-{meter}_{_compact_timestamp(config.date, second)}.xml"
+        # Every reading is taken on 2021-01-01, at a second of its own per meter.
+        h, rem = divmod(second, 3600)
+        clock = "%02d:%02d:%02d" % (h, *divmod(rem, 60))
+        content = render_file(meter, f"2021-01-01T{clock}Z", readings)
+        filename = f"READINGS-{meter}_20210101{clock.replace(':', '')}.xml"
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="\n") as f:
             f.write(content)
 

@@ -11,7 +11,6 @@ renamed, leaving no partial files behind on failure.
 import argparse
 import atexit
 import contextlib
-import datetime
 import marshal
 import os
 import shutil
@@ -450,9 +449,17 @@ def run_cli(prog, body):
             signal.signal(signum, handler)
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse, where a bad argument is a usage error: exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(UsageError.exit_code, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="pipeline",
         description="Parse, validate and aggregate meter-reading XML batches.",
     )
@@ -471,25 +478,18 @@ def main(argv=None):
         stage_p.add_argument("--config", required=True)
 
     gen_p = sub.add_parser("gen", help="generate a deterministic XML corpus")
-    # Numbers are parsed in body(), so a bad one is a usage error (exit 1).
+    # Numbers are parsed in body() as ASCII digits, as in bench.
     gen_p.add_argument("--files", required=True)
     gen_p.add_argument("--meters", required=True)
     gen_p.add_argument("--invalid-ratio", default="0.0")
     gen_p.add_argument("--seed", required=True)
     gen_p.add_argument("--out", required=True)
     gen_p.add_argument("--readings", default="3")
-    gen_p.add_argument("--date", default="2021-01-01")
 
     args = parser.parse_args(argv)
 
     def body():
         if args.command == "gen":
-            try:
-                date = datetime.date.fromisoformat(args.date)
-            except ValueError as exc:
-                raise UsageError(
-                    f"bad --date {args.date!r}: expected YYYY-MM-DD"
-                ) from exc
             stats = generate_corpus(
                 GeneratorConfig(
                     file_count=parse_digits(args.files, "--files value"),
@@ -498,7 +498,6 @@ def main(argv=None):
                     out_dir=args.out,
                     readings_per_file=parse_digits(args.readings, "--readings value"),
                     invalid_ratio=parse_ratio(args.invalid_ratio, "--invalid-ratio value"),
-                    date=date,
                 )
             )
             print(

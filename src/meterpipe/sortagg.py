@@ -43,12 +43,26 @@ def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES):
     files; spilled runs are merged lazily, so inputs larger than memory are
     fine.
     """
+    return _merge_sort(key_spec, _keyed(key_spec, rows), mem_bytes)
+
+
+def _keyed(key_spec, rows, path="-"):
+    """(key, row) pairs; a bad row in a named file is ``path: line N``."""
+    try:
+        for lineno, line in enumerate(rows, 1):
+            yield _key_of(key_spec, line, lineno), line
+    except DataError as exc:
+        if path == "-":
+            raise
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _merge_sort(key_spec, pairs, mem_bytes):
     run = []
     run_bytes = 0
     spills = []
     try:
-        for lineno, line in enumerate(rows, 1):
-            key = _key_of(key_spec, line, lineno)
+        for key, line in pairs:
             run.append((key, line))
             run_bytes += _PAIR_BYTES + sys.getsizeof(key) + sys.getsizeof(line)
             if run_bytes >= mem_bytes:
@@ -136,8 +150,8 @@ def msort_main(argv=None):
             mem_bytes = parse_digits(mem, "--mem value")
             if mem_bytes < 1:
                 raise UsageError("--mem must be positive")
-        rows = (row for path in args[1:] or ["-"] for row in input_rows(path))
-        return merge_sort_rows(key_spec, rows, mem_bytes)
+        pairs = (p for path in args[1:] or ["-"] for p in _keyed(key_spec, input_rows(path), path))
+        return _merge_sort(key_spec, pairs, mem_bytes)
 
     return stream_tool("msort", usage, argv, rows, options=("mem",))
 

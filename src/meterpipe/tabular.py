@@ -16,7 +16,7 @@ from .core import (
     stream_tool,
 )
 
-DEFAULT_TAGS = ("name", "timeStamp", "value", "ref")
+DEFAULT_TAGS = frozenset({"name", "timeStamp", "value", "ref"})
 
 
 def select_fields(specs, rows):
@@ -184,23 +184,21 @@ def delr_main(argv=None):
     return stream_tool("delr", usage, argv, rows)
 
 
+def _file_tool_main(prog, transform, argv):
+    usage = f"usage: {prog} [file]"
+
+    def rows(args):
+        return transform(input_rows(optional_file(args, usage)))
+
+    return stream_tool(prog, usage, argv, rows)
+
+
 def filter_tags_main(argv=None):
-    usage = "usage: filter-tags [--allow a,b,...] [file]"
-
-    def rows(args, allow=",".join(DEFAULT_TAGS)):
-        allowed = frozenset(t for t in allow.split(",") if t)
-        return filter_tags(allowed, input_rows(optional_file(args, usage)))
-
-    return stream_tool("filter-tags", usage, argv, rows, options=("allow",))
+    return _file_tool_main("filter-tags", lambda rows: filter_tags(DEFAULT_TAGS, rows), argv)
 
 
 def group_number_main(argv=None):
-    usage = "usage: group-number [file]"
-
-    def rows(args):
-        return group_number(input_rows(optional_file(args, usage)))
-
-    return stream_tool("group-number", usage, argv, rows)
+    return _file_tool_main("group-number", group_number, argv)
 
 
 def map_main(argv=None):

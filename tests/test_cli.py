@@ -141,10 +141,6 @@ class TestRowToolsCli:
         assert proc.returncode == 0
         assert lines(proc.stdout) == ["y z"]
 
-    def test_filter_tags_custom_allow_list(self):
-        proc = run_tool("filter-tags", "--allow", "aa,bb", stdin=b"aa 1\ncc 2\nbb 3\n")
-        assert lines(proc.stdout) == ["aa 1", "bb 3"]
-
     def test_group_number_orphan_reading_exits_2(self):
         proc = run_tool("group-number", stdin=b"timeStamp 2021-01-01T00:00:00Z\n")
         assert proc.returncode == 2
@@ -316,6 +312,20 @@ class TestSortAggCli:
         assert proc.returncode == 0, proc.stderr
         assert lines(proc.stdout) == ["a 1", "a 2", "a 1", "b 1", "b 1"]
 
+    def test_msort_names_the_file_that_holds_a_bad_row(self, tmp_path):
+        (tmp_path / "m1").write_text("a b c\nd e f\n")
+        (tmp_path / "m2").write_text("x y\n")
+        proc = run_tool("msort", "key=3", str(tmp_path / "m1"), str(tmp_path / "m2"))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [
+            f"msort: {tmp_path / 'm2'}: line 1: field 3 does not exist in a 2-field row"
+        ]
+        # Lines of stdin are counted from its own start, and it is not named.
+        proc = run_tool("msort", "key=3", str(tmp_path / "m1"), "-", stdin=b"a b c\nx y\n")
+        assert proc.returncode == 2
+        assert lines(proc.stderr) == ["msort: line 2: field 3 does not exist in a 2-field row"]
+
     def test_msort_with_tiny_memory_budget(self, tmp_path):
         rows = "".join(f"k{i % 7} row{i}\n" for i in range(500)).encode()
         proc = run_tool("msort", "key=1", "--mem", "64", stdin=rows)
@@ -430,6 +440,28 @@ class TestStreamToolContract:
         proc = run_tool(tool, *leading(tool), str(tmp_path / "missing"))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"{tool}: cannot open ".encode())
+
+    @pytest.mark.parametrize(
+        "tool, args, limit",
+        [("self", ["1"], 64 * 1024), ("map", ["num=1"], 16 * 1024)],
+    )
+    def test_a_failed_write_is_one_line_with_exit_2(self, tmp_path, tool, args, limit):
+        # RLIMIT_FSIZE makes writes past the limit fail with EFBIG: self's
+        # stdout is a file, and map spools its stdin to one.
+        (tmp_path / "in.txt").write_text("".join(f"a{i} b c\n" for i in range(20000)))
+        cells = "".join(f"{i} value {i}\n" for i in range(9000)).encode()
+        with open(tmp_path / "out", "wb") as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "meterpipe", tool, *args]
+                + ([] if tool == "map" else [str(tmp_path / "in.txt")]),
+                input=cells if tool == "map" else None,
+                stdout=out,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, TMPDIR=str(tmp_path)),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+            )
+        assert proc.returncode == 2
+        assert lines(proc.stderr) == [f"{tool}: cannot write: File too large"]
 
 
 class TestDispatcher:
@@ -726,6 +758,71 @@ class TestPipelineCli:
         ]
         assert not (tmp_path / "r").exists()
 
+    def test_a_failed_write_stops_the_run_and_keeps_the_last_outputs(self, tmp_path):
+        generate_corpus(
+            GeneratorConfig(file_count=200, meters=20, seed=5, out_dir=str(tmp_path / "r"))
+        )
+        out = run_pipeline(tmp_path, tmp_path / "r", tmp_path / "r" / "READING_TYPE_CONVERTER")
+        assert out.returncode == 0, out.stderr
+        outputs = {p: p.read_bytes() for p in tmp_path.glob("[vc]/*")}
+        assert len(outputs) == 3
+        # Every output is smaller than 64 KiB; map's spool of the parse
+        # stage's cells is larger.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        limit = 64 * 1024
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(tmp_path / "cfg")],
+            capture_output=True,
+            env=dict(os.environ, TMPDIR=str(scratch)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert lines(out.stderr) == [
+            "map: cannot write: File too large",
+            "pipeline: map num=1 exited with status 2",
+        ]
+        assert {p: p.read_bytes() for p in tmp_path.glob("[vc]/*")} == outputs
+        assert not list(tmp_path.rglob(".stage-*"))
+        assert list(scratch.iterdir()) == []
+
+    def test_gen_into_a_path_under_a_file_is_one_line(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "r"
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "gen", "--files", "1",
+             "--meters", "1", "--seed", "1", "--out", str(target)],
+            capture_output=True,
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert lines(out.stderr) == [f"pipeline: {target}: Not a directory"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["frob"],
+            ["gen", "--files", "1", "--meters", "1", "--seed", "1", "--out", "{tmp}/r",
+             "--date", "2021-01-01"],
+            [],
+        ],
+    )
+    def test_a_bad_argument_is_a_usage_error(self, tmp_path, argv):
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline",
+             *(arg.format(tmp=tmp_path) for arg in argv)],
+            capture_output=True,
+        )
+        assert out.returncode == 1
+        assert out.stdout == b""
+        err = lines(out.stderr)
+        assert err[0].startswith("usage: pipeline")
+        assert err[-1].startswith("pipeline")
+        assert ": error: " in err[-1]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBenchCli:
     def test_cost_values(self):
@@ -761,3 +858,38 @@ class TestBenchCli:
         parsed.write_bytes(b"y" * 60)
         proc = run_tool("bench", "reduction", str(xml), str(parsed))
         assert proc.stdout.strip() == b"0.9400"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--D", "1", "--alpha", "2"],
+            ["cost", "--D", "1", "--alpha", "2", "--months", "3", "--weeks", "1"],
+            ["volume", "--meters", "1", "--readings-per-day", "2"],
+            ["frob"],
+        ],
+    )
+    def test_a_bad_argument_is_a_usage_error(self, argv):
+        proc = run_tool("bench", *argv)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        err = lines(proc.stderr)
+        assert err[0].startswith("usage: bench")
+        assert ": error: " in err[-1]
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--months", "x"), ("--months", "\u0663"), ("--months", "1_2"), ("--meters", "1_0"),
+         ("--readings-per-day", " 2"), ("--bytes-per-reading", "+3")],
+    )
+    def test_counts_take_ascii_digits_only(self, option, value):
+        if option == "--months":
+            argv = {"--D": "1", "--alpha": "2", option: value}
+            command = "cost"
+        else:
+            argv = {"--meters": "1", "--readings-per-day": "2", "--bytes-per-reading": "3"}
+            argv[option] = value
+            command = "volume"
+        proc = run_tool("bench", command, *(arg for pair in argv.items() for arg in pair))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"bench: invalid {option} value {value!r}"]

@@ -1,4 +1,3 @@
-import datetime
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -103,16 +102,6 @@ class TestCorpusShape:
         readings = extract_readings(config.out_dir)
         assert len(readings) == 5
         assert readings[0][3] == readings[3][3]
-
-    def test_date_controls_timestamps_and_filenames(self, tmp_path):
-        config = make_config(tmp_path, date=datetime.date(2022, 7, 15), file_count=4)
-        generate_corpus(config)
-        for p in Path(config.out_dir).glob("*.xml"):
-            assert "_20220715" in p.name
-        assert all(
-            ts.startswith("2022-07-15T")
-            for _, ts, _, _ in extract_readings(config.out_dir)
-        )
 
 
 class TestDeterminism:
