@@ -25,6 +25,14 @@ _TOOLS = {
     "bench": ("meterpipe.bench", "main"),
 }
 
+# The standard modules a tool imports on first use, on its normal path:
+# map spools stdin through core.scratch_file (tempfile), and sm2 sums
+# through core._exact_context (decimal).  The stage runner imports them
+# just before it forks that tool, so the tool inherits them and no later
+# stage pays for them again.  msort imports tempfile only when it spills,
+# so it is not listed.
+_FIRST_USE = {"map": ("tempfile",), "sm2": ("decimal",)}
+
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
@@ -51,10 +59,13 @@ def serve():
     stage's tool modules, caching their bytecode under the
     ``sys.pycache_prefix`` the launcher set, and forks one child per tool,
     as a shell forks the commands of a pipeline: each reads the previous
-    tool's pipe and writes the next one's.  Once it has reaped every tool,
-    it replies on stdout with the tools' exit statuses in command order,
-    negative for a signal, ``marshal``-ed.  It exits at the end of its
-    stdin.  SIGTERM stops the runner and the stage (see ``_stop``).
+    tool's pipe and writes the next one's.  Before it forks a tool, it
+    imports the standard modules that tool imports on first use
+    (``_FIRST_USE``), while the tools before it run.  Once it has reaped
+    every tool, it replies on stdout with the tools' exit statuses in
+    command order, negative for a signal, ``marshal``-ed.  It exits at the
+    end of its stdin.  SIGTERM stops the runner and the stage (see
+    ``_stop``).
     """
     _signal.signal(_signal.SIGTERM, _stop)
     # Blocked by the orchestrator while it started this process.
@@ -65,9 +76,8 @@ def serve():
             commands, out_path = marshal.load(sys.stdin.buffer)
         except EOFError:
             return 0
-        # The tools import only standard modules after this (tempfile,
-        # decimal); those load from the standard library's own bytecode
-        # cache, so the prefix is set around these imports alone.
+        # The prefix is set around meterpipe's own imports alone: the
+        # standard modules load from the standard library's own cache.
         sys.pycache_prefix = prefix
         for name, *_ in commands:
             if name in _TOOLS:
@@ -78,6 +88,8 @@ def serve():
         stdout = os.open(out_path, os.O_WRONLY)
         pids = []
         for i, command in enumerate(commands):
+            for module in _FIRST_USE.get(command[0], ()):
+                __import__(module)
             read_end, write_end = os.pipe() if i < len(commands) - 1 else (None, stdout)
             pid = os.fork()
             if pid == 0:

@@ -11,6 +11,7 @@ parsed output is than its XML source.
 import csv
 import os
 import shutil
+import stat
 import statistics
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from .core import (
     UsageError,
     decimal_mul,
     format_decimal,
+    parse_amount,
     parse_decimal,
     parse_digits,
     parse_ratio,
@@ -114,10 +116,12 @@ def size_reduction(xml_dir, parsed_file):
     if xml_bytes == 0:
         raise UsageError(f"no *.xml files under {xml_dir}")
     try:
-        parsed_bytes = os.path.getsize(parsed_file)
+        parsed = os.stat(parsed_file)
     except OSError as exc:
         raise UsageError(f"cannot stat {parsed_file}: {exc.strerror}") from exc
-    return 1.0 - parsed_bytes / xml_bytes
+    if not stat.S_ISREG(parsed.st_mode):
+        raise UsageError(f"{parsed_file} is not a regular file")
+    return 1.0 - parsed.st_size / xml_bytes
 
 
 # --- benchmark harness ----------------------------------------------------
@@ -325,8 +329,8 @@ def main(argv=None):
             run_bench(config, args.out)
             print(f"report written to {args.out}")
         elif args.command == "cost":
-            d = parse_decimal(args.D)
-            alpha = parse_decimal(args.alpha)
+            d = parse_amount(args.D, "--D value")
+            alpha = parse_amount(args.alpha, "--alpha value")
             months = parse_digits(args.months, "--months value")
             if args.table:
                 for month, value in cost_table(d, alpha, months):

@@ -6,7 +6,9 @@ exits 0 on success, 1 on usage errors, 2 on data errors.
 
 Tools run as many short-lived processes per pipeline, so this module and
 the tool modules stay deliberately light to import: no argparse, no
-dataclasses, no re.
+dataclasses, no re.  The heavier standard modules a tool needs (tempfile,
+decimal) are imported on first use; the stage runner imports them once
+before it forks the tools that use them (``meterpipe.__main__._FIRST_USE``).
 """
 
 import sys
@@ -50,13 +52,23 @@ def parse_digits(text, what):
         raise UsageError(f"{what} of {len(text)} digits is too long") from None
 
 
-def parse_ratio(text, what):
-    """Parse ASCII digits with an optional ``.digits`` fraction as a float;
+def _unsigned(text, what):
+    """``text`` if it is ASCII digits with an optional ``.digits`` fraction;
     anything else is a UsageError naming ``what``."""
     whole, dot, fraction = text.partition(".")
     if not _is_digits(whole) or (dot and not _is_digits(fraction)):
         raise UsageError(f"invalid {what} {text!r}")
-    return float(text)
+    return text
+
+
+def parse_ratio(text, what):
+    """Parse an unsigned decimal number, such as a ratio, as a float."""
+    return float(_unsigned(text, what))
+
+
+def parse_amount(text, what):
+    """Parse an unsigned decimal number, such as a price, exactly."""
+    return parse_decimal(_unsigned(text, what))
 
 
 def parse_fieldspec(text):
@@ -106,7 +118,8 @@ _exact = None
 def _exact_context():
     """The context every decimal is made and worked in: precision and
     exponents at their limits, and rounding an error, so each result is
-    exact.  Made on first use, so only the tools that sum import decimal."""
+    exact.  Made on first use, so only the tools that sum import decimal;
+    the stage runner imports it before it forks ``sm2``."""
     global _exact
     if _exact is None:
         import decimal
@@ -238,7 +251,7 @@ def row_bytes(text):
 def scratch_file():
     """An anonymous read/write text file for spills and spools, in the
     system temporary directory (``$TMPDIR`` if set)."""
-    import tempfile  # only tools that spill pay for the import
+    import tempfile  # on first use; the stage runner imports it for map
 
     return tempfile.TemporaryFile("w+", **_TEXT_KW)
 

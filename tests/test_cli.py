@@ -859,6 +859,25 @@ class TestBenchCli:
         proc = run_tool("bench", "reduction", str(xml), str(parsed))
         assert proc.stdout.strip() == b"0.9400"
 
+    def test_reduction_of_a_directory_is_a_usage_error(self, tmp_path):
+        xml = tmp_path / "xml"
+        xml.mkdir()
+        (xml / "a.xml").write_bytes(b"x" * 1000)
+        proc = run_tool("bench", "reduction", str(xml), str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"bench: {tmp_path} is not a regular file"]
+
+    @pytest.mark.parametrize(
+        "option, value", [("--D", "-5"), ("--D", "abc"), ("--alpha", "-0.01"), ("--alpha", "1e3")]
+    )
+    def test_cost_takes_unsigned_decimals_only(self, option, value):
+        argv = {"--D": "5", "--alpha": "0.01", "--months": "12", option: value}
+        proc = run_tool("bench", "cost", *(arg for pair in argv.items() for arg in pair))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"bench: invalid {option} value {value!r}"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -342,9 +342,47 @@ class TestToolBytecode:
         assert sorted(mtimes) == [f"{name}.{tag}.pyc" for name in modules]
         run_single(config)
         assert {p.name: p.stat().st_mtime_ns for p in package.iterdir()} == mtimes
-        # map's spool imports tempfile after the runner's own imports; it
-        # loads from the standard library's cache, not into this one.
+        # The runner imports map's tempfile and sm2's decimal after its own
+        # modules; they load from the standard library's cache, not this one.
         assert not list(cache.rglob("tempfile.*"))
+        assert not list(cache.rglob("decimal.*"))
+
+    @staticmethod
+    def imported(err):
+        """The modules a ``-v`` process says it imported, in order."""
+        return [line.split("'")[1] for line in err.splitlines() if line.startswith("import '")]
+
+    @pytest.mark.parametrize(
+        "stage, first_use",
+        [("parse", ["tempfile"]), ("validate", []), ("aggregate", ["decimal"]),
+         ("reaggregate", ["decimal"])],
+    )
+    def test_a_stage_sent_again_imports_nothing(
+        self, tmp_path, sample_dir, capfd, monkeypatch, fresh, stage, first_use
+    ):
+        # The runner imports what a tool imports on first use before it
+        # forks the tool, so that later stages' tools inherit it.
+        config = make_pipeline_config(tmp_path, *sample_dir)
+        run_single(config, keep_intermediates=True)  # every stage's input
+        sends = {
+            "parse": lambda runner: stage_parse(config, runner=runner),
+            "validate": lambda runner: stage_validate(config, runner=runner),
+            "aggregate": lambda runner: stage_aggregate(config, runner=runner),
+            "reaggregate": lambda runner: pipeline._run_stage(
+                pipeline._AGGREGATE_TOOLS,
+                [str(tmp_path / "total")],
+                feed_paths=[config.aggregate_file] * 3,
+                runner=runner,
+            ),
+        }
+        monkeypatch.setenv("PYTHONVERBOSE", "1")  # as -v, for the stage runner
+        capfd.readouterr()
+        with pipeline.StageRunner() as runner:
+            sends[stage](runner)
+            first = self.imported(capfd.readouterr().err)
+            assert [m for m in first if m in ("tempfile", "decimal")] == first_use
+            sends[stage](runner)
+            assert self.imported(capfd.readouterr().err) == []
 
     def test_an_unusable_temporary_directory_is_a_one_line_data_error(
         self, tmp_path, sample_dir, monkeypatch, capsys
