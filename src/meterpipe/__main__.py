@@ -1,13 +1,14 @@
 """Busybox-style dispatcher: ``python -m meterpipe <tool> [args...]``.
 
-Lets the orchestrator and the benchmark harness spawn any tool without
-relying on installed console scripts being on PATH.  ``serve`` is the
-stage runner the orchestrator starts once per pipeline run.
+Lets a shell and the benchmark harness start any tool without relying on
+installed console scripts being on PATH.  ``fork_stage`` starts the tools
+of one pipeline stage as forks of the orchestrator, which run them through
+the same table.
 """
 
-import _signal  # signal's functions without its enum import; already loaded
-import marshal
+import gc
 import os
+import signal
 import sys
 
 _TOOLS = {
@@ -25,13 +26,12 @@ _TOOLS = {
     "bench": ("meterpipe.bench", "main"),
 }
 
-# The standard modules a tool imports on first use, on its normal path:
-# map spools stdin through core.scratch_file (tempfile), and sm2 sums
-# through core._exact_context (decimal).  The stage runner imports them
-# just before it forks that tool, so the tool inherits them and no later
-# stage pays for them again.  msort imports tempfile only when it spills,
-# so it is not listed.
-_FIRST_USE = {"map": ("tempfile",), "sm2": ("decimal",)}
+# The standard modules a tool imports on first use, on its normal path: sm2
+# sums through core._exact_context (decimal).  fork_stage imports them just
+# before it forks that tool, so the tool inherits them and no later stage
+# pays for them again.  map's tempfile (core.scratch_file) needs no entry:
+# meterpipe.pipeline imports it.
+_FIRST_USE = {"sm2": ("decimal",)}
 
 
 def main(argv=None):
@@ -50,91 +50,64 @@ def main(argv=None):
     return getattr(module, funcname)(argv[1:])
 
 
-def serve():
-    """The stage runner of one pipeline run.
-
-    Each request on stdin is one stage, as one ``marshal``-ed tuple: its
-    commands (a list of argv lists) and the path of the last command's
-    stdout; the first command reads /dev/null.  The runner imports the
-    stage's tool modules, caching their bytecode under the
-    ``sys.pycache_prefix`` the launcher set, and forks one child per tool,
-    as a shell forks the commands of a pipeline: each reads the previous
-    tool's pipe and writes the next one's.  Before it forks a tool, it
-    imports the standard modules that tool imports on first use
-    (``_FIRST_USE``), while the tools before it run.  Once it has reaped
-    every tool, it replies on stdout with the tools' exit statuses in
-    command order, negative for a signal, ``marshal``-ed.  It exits at the
-    end of its stdin.  SIGTERM stops the runner and the stage (see
-    ``_stop``).
-    """
-    _signal.signal(_signal.SIGTERM, _stop)
-    # Blocked by the orchestrator while it started this process.
-    _signal.pthread_sigmask(_signal.SIG_UNBLOCK, (_signal.SIGINT, _signal.SIGTERM))
-    prefix = sys.pycache_prefix
-    while True:
-        try:
-            commands, out_path = marshal.load(sys.stdin.buffer)
-        except EOFError:
-            return 0
-        # The prefix is set around meterpipe's own imports alone: the
-        # standard modules load from the standard library's own cache.
-        sys.pycache_prefix = prefix
-        for name, *_ in commands:
-            if name in _TOOLS:
-                __import__(_TOOLS[name][0])
-        sys.pycache_prefix = None
-        sys.stderr.flush()  # or every tool writes it again
-        stdin = os.open(os.devnull, os.O_RDONLY)
-        stdout = os.open(out_path, os.O_WRONLY)
-        pids = []
-        for i, command in enumerate(commands):
+def fork_stage(commands, out_path, pids):
+    """Fork one child per command, as a shell forks a pipeline's commands,
+    and append each child's pid to ``pids``.  The first command reads
+    /dev/null, each later one the previous one's pipe, and the last one
+    writes ``out_path``.  Nothing execs: each child runs its tool on the
+    modules this process has imported.  The caller holds SIGINT and SIGTERM,
+    so that every pid is listed before a signal can stop the stage, and
+    reaps the children."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # or a tool may write what it holds again
+            stream.flush()
+    # Each tool's stdin and stdout, in command order.
+    ends = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        for _ in commands[1:]:
+            read_end, write_end = os.pipe()
+            ends += (write_end, read_end)
+        ends.append(os.open(out_path, os.O_WRONLY))
+        for command, stdin, stdout in zip(commands, ends[::2], ends[1::2]):
             for module in _FIRST_USE.get(command[0], ()):
                 __import__(module)
-            read_end, write_end = os.pipe() if i < len(commands) - 1 else (None, stdout)
             pid = os.fork()
             if pid == 0:
-                code = 1
-                try:  # a tool never returns into this loop
-                    _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-                    os.dup2(stdin, 0)
-                    os.dup2(write_end, 1)
-                    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-                    code = _run_tool(command)
-                finally:
-                    os._exit(code)
+                _tool_process(command, stdin, stdout)
             pids.append(pid)
-            os.close(stdin)
-            os.close(write_end)
-            stdin = read_end
-        codes = [os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]) for pid in pids]
-        try:
-            marshal.dump(codes, sys.stdout.buffer)
-            sys.stdout.buffer.flush()
-        except OSError:
-            return 1  # the orchestrator has gone
+    finally:
+        for fd in ends:
+            os.close(fd)
 
 
-def _stop(signum, frame):
-    """Stop every tool of the stage and reap it, then exit.  The
-    orchestrator sends SIGTERM to the runner's process group and waits for
-    the runner alone; the runner reaps its tools, so no tool outlives the
-    run or leaves its usage unaccounted."""
-    _signal.signal(signum, _signal.SIG_IGN)
-    os.killpg(0, signum)  # again, for a tool forked as the first one came
-    while True:
-        try:
-            os.wait()
-        except ChildProcessError:
-            os._exit(128 + signum)
+def _tool_process(argv, stdin, stdout):
+    """The body of a forked tool; it exits and never returns."""
+    code = 1
+    try:  # a tool never returns into the orchestrator's code
+        gc.freeze()  # the tool's collections skip the orchestrator's objects
+        os.setsid()  # job-control signals reach the orchestrator alone
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
+        os.dup2(stdin, 0)
+        os.dup2(stdout, 1)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        code = _run_tool(argv)
+    finally:
+        os._exit(code)
 
 
 def _run_tool(argv):
     """Run one tool over fds 0 and 1; returns the exit status the tool
     would have had as a process of its own."""
     # New streams: the old ones cached what fds 0 and 1 were when this
-    # process started, whether they could seek included.
-    sys.stdin = open(0, encoding=sys.stdin.encoding, errors=sys.stdin.errors, closefd=False)
-    sys.stdout = open(1, "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors, closefd=False)
+    # process started, whether they could seek included, sys.stderr may not
+    # be fd 2 at all (a test's capture), and each is None if its fd was
+    # closed then.  stderr is line-buffered, so an error line is written
+    # before the tool exits.
+    sys.stdin = _reopen(0, sys.stdin, "r")
+    sys.stdout = _reopen(1, sys.stdout, "w")
+    sys.stderr = _reopen(2, sys.stderr, "w", buffering=1)
     try:
         code = main(argv)
     except BaseException:
@@ -146,6 +119,12 @@ def _run_tool(argv):
     except OSError:
         code = 120  # as the interpreter exits when its last flush fails
     return code
+
+
+def _reopen(fd, stream, mode, **kwargs):
+    """A new text stream on ``fd``, with ``stream``'s encoding and errors."""
+    encoding, errors = (stream.encoding, stream.errors) if stream is not None else (None, None)
+    return open(fd, mode, encoding=encoding, errors=errors, closefd=False, **kwargs)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ Every tool in the suite reads whitespace-separated text rows from named
 files or stdin, writes rows to stdout and diagnostics to stderr, and
 exits 0 on success, 1 on usage errors, 2 on data errors.
 
-Tools run as many short-lived processes per pipeline, so this module and
-the tool modules stay deliberately light to import: no argparse, no
-dataclasses, no re.  The heavier standard modules a tool needs (tempfile,
-decimal) are imported on first use; the stage runner imports them once
-before it forks the tools that use them (``meterpipe.__main__._FIRST_USE``).
+In a pipeline run every tool is a fork of the orchestrator and inherits
+its imports.  A tool started alone (``python -m meterpipe <tool>``) imports
+this module and its own, so they stay deliberately light to import: no
+argparse, no dataclasses, no re.  The heavier standard modules a tool
+needs (tempfile, decimal) are imported on first use; in a pipeline run the
+orchestrator has imported them before it forks the tools that use them.
 """
 
 import sys
@@ -119,7 +120,8 @@ def _exact_context():
     """The context every decimal is made and worked in: precision and
     exponents at their limits, and rounding an error, so each result is
     exact.  Made on first use, so only the tools that sum import decimal;
-    the stage runner imports it before it forks ``sm2``."""
+    the orchestrator imports it before it forks ``sm2``
+    (``meterpipe.__main__._FIRST_USE``)."""
     global _exact
     if _exact is None:
         import decimal
@@ -190,6 +192,8 @@ def read_config(path, keys):
                 values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read config {path}: not UTF-8 text") from None
     return values
 
 
@@ -251,7 +255,7 @@ def row_bytes(text):
 def scratch_file():
     """An anonymous read/write text file for spills and spools, in the
     system temporary directory (``$TMPDIR`` if set)."""
-    import tempfile  # on first use; the stage runner imports it for map
+    import tempfile  # on first use; meterpipe.pipeline imports it for map
 
     return tempfile.TemporaryFile("w+", **_TEXT_KW)
 

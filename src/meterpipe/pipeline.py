@@ -9,20 +9,20 @@ renamed, leaving no partial files behind on failure.
 """
 
 import argparse
-import atexit
 import contextlib
-import marshal
 import os
-import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
 
+# Every tool module, so that each forked tool finds its code imported.
+from . import sortagg, tabular, xmlflat  # noqa: F401
+from .__main__ import fork_stage
 from .core import DataError, UsageError, input_rows, parse_digits, parse_ratio, read_config, run_tool
 from .generator import GeneratorConfig, generate_corpus
+from .join import load_master
 
 ELEMENT_PATH = "/MeterReadings/MeterReading"
 
@@ -49,8 +49,6 @@ class PipelineConfig:
             raise UsageError("pipeline paths must all be distinct")
         if not os.path.isfile(self.master_path):
             raise UsageError(f"master file not found: {self.master_path}")
-        from .join import load_master
-
         load_master(input_rows(self.master_path))
         seen = []
         for batch in self.batch_dirs or ():
@@ -106,61 +104,6 @@ def load_config(path):
     return config
 
 
-# A pipeline run starts one process, the stage runner
-# (``meterpipe.__main__.serve``), as ``python -S -c LAUNCHER <cache dir>``,
-# and sends it every stage on its stdin; it forks the stage's tools.  -S
-# skips ``site`` (its .pth files can cost more than the tools' own imports)
-# and -c skips runpy; PYTHONPATH still applies.
-# LAUNCHER runs the orchestrator's own meterpipe and caches its bytecode in a
-# private directory, made on first use and removed at exit, even under
-# PYTHONDONTWRITEBYTECODE; nothing is written beside the sources.  (Under
-# ``-X pycache_prefix`` the interpreter's own start-up imports would miss the
-# stdlib's cache.)
-LAUNCHER = (
-    "import sys; sys.dont_write_bytecode = False; "
-    "sys.pycache_prefix = sys.argv.pop(1); "
-    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r}); "
-    "from meterpipe.__main__ import serve; sys.exit(serve())"
-)
-_CACHE_PREFIX = "meterpipe-"
-_cache_dir = None
-
-
-def _bytecode_cache():
-    """The stage runners' bytecode cache directory, made on first use.
-
-    Its name holds this process's pid.  A sibling whose owner no longer
-    exists (an orchestrator killed by SIGKILL) is removed here.
-    """
-    global _cache_dir
-    if _cache_dir is None:
-        try:
-            _cache_dir = tempfile.mkdtemp(prefix=f"{_CACHE_PREFIX}{os.getpid()}-")
-        except OSError as exc:
-            where = f" in {os.path.dirname(exc.filename)}" if exc.filename else ""
-            raise DataError(f"cannot prepare tool bytecode{where}: {exc.strerror}") from exc
-        atexit.register(shutil.rmtree, _cache_dir, ignore_errors=True)
-        _remove_stale_caches(os.path.dirname(_cache_dir))
-    return _cache_dir
-
-
-def _remove_stale_caches(directory):
-    with os.scandir(directory) as entries:
-        for entry in entries:
-            name = entry.name
-            if not name.startswith(_CACHE_PREFIX):
-                continue
-            pid = name[len(_CACHE_PREFIX) :].partition("-")[0]
-            if not (pid.isascii() and pid.isdigit()) or not entry.is_dir(follow_symlinks=False):
-                continue
-            try:
-                os.kill(int(pid), 0)
-            except ProcessLookupError:
-                shutil.rmtree(entry.path, ignore_errors=True)
-            except OSError:
-                pass  # it exists, but belongs to someone else
-
-
 def _read_umask():
     mask = os.umask(0)
     os.umask(mask)
@@ -191,101 +134,29 @@ class StageError(DataError):
     """A tool in a stage pipeline exited nonzero."""
 
 
-class StageRunner:
-    """The stage runner of one pipeline run, as a context manager.
-
-    The runner process starts at the first stage sent to it.  It is the
-    leader of a process group of its own, forks each stage's tools and
-    reaps them.  On leaving the block the runner is ended and reaped: on
-    success by closing its stdin, on an exception by SIGTERM to its group.
-    Only then do the tools' CPU time and peak RSS count among this process's
-    children.
-    """
-
-    def __init__(self):
-        self.proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close(stop=exc_type is not None)
-
-    def start(self):
-        """Start the runner process, unless it is running."""
-        if self.proc is not None:
-            return
-        cache_dir = _bytecode_cache()
-        # The runner must be known before a signal can stop the run, so
-        # that close() stops it too; the runner unblocks the signals.
-        with _signals_held():
-            self.proc = subprocess.Popen(
-                [sys.executable, "-S", "-c", LAUNCHER, cache_dir],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                start_new_session=True,
-            )
-
-    def run(self, commands, out_path):
-        """Run one stage: its commands, the first of which reads /dev/null,
-        and the path the last command's stdout goes to.  Returns each
-        tool's exit status, in command order (negative for a signal); None
-        if the runner has exited.  Both ends run ``sys.executable``, so
-        ``marshal`` frames both messages."""
-        try:
-            marshal.dump((commands, out_path), self.proc.stdin)
-            self.proc.stdin.flush()
-            return marshal.load(self.proc.stdout)
-        except (BrokenPipeError, EOFError):
-            return None
-
-    def close(self, stop=False):
-        """End the runner and reap it: by closing its stdin, or, with
-        ``stop`` or if the wait is interrupted, by SIGTERM to its group."""
-        if self.proc is None:
-            return
-        try:
-            try:
-                self.proc.stdin.close()
-            except BrokenPipeError:
-                pass  # it exited with a stage unread
-            if not stop:
-                self.proc.wait()
-        finally:
-            # Also after the runner exits: a tool it did not reap (the
-            # runner was killed) is still in its group.
-            if stop or self.proc.returncode is None:
-                try:  # the runner stops and reaps the stage, then exits
-                    os.killpg(self.proc.pid, signal.SIGTERM)
-                except ProcessLookupError:
-                    pass  # it reaped every process and exited already
-                self.proc.wait()
-            self.proc.stdout.close()
-            self.proc = None
-
-
-def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
+def _run_stage(commands, out_paths, feed_paths=None):
     """Run commands as one OS pipeline and publish ``out_paths`` atomically.
 
-    ``runner`` (a started-or-not ``StageRunner``; by default one of its own)
-    forks the tools and reports each one's exit status.  Each output is
-    written to a temp file beside it: the last command's stdout goes to the
-    first one, and an argument equal to an output path names that output's
-    temp file instead (cjoin1's ``--reject``).  Every output is renamed into
-    place, with the mode a shell redirection would give it, only after every
-    tool exits 0; otherwise the runner is stopped and every temp file is
-    removed.  ``feed_paths`` become the first command's trailing arguments,
-    so it opens them itself; it reads /dev/null as stdin.  The tools' CPU
-    time and peak RSS count among this process's children once the runner
-    is reaped, at the end of the run.
+    Each tool is a fork of this process (``meterpipe.__main__.fork_stage``),
+    so this process must have one thread: ``fork`` copies only the calling
+    one.  Each output is written to a temp file beside it: the last
+    command's stdout goes to the first one, and an argument equal to an
+    output path names that output's temp file instead (cjoin1's
+    ``--reject``).  ``feed_paths`` become the first command's trailing
+    arguments, so it opens them itself; it reads /dev/null as stdin.  The
+    tools are reaped in command order, so their CPU time and peak RSS count
+    among this process's children (``RUSAGE_CHILDREN``) when the stage
+    ends.  Every output is renamed into place, with the mode a shell
+    redirection would give it, only after every tool exits 0.  Otherwise,
+    or on any exception, a signal that ``run_cli`` raises as one included,
+    every tool not yet reaped gets SIGTERM and is reaped, and every temp
+    file is removed.
     """
-    if runner is None:
-        with StageRunner() as runner:
-            return _run_stage(commands, out_paths, feed_paths, runner=runner)
-    runner.start()
     tmps = []
+    pids = []  # the tools not yet reaped
     try:
-        # A signal that lands as a temp file is made would leave it unlisted.
+        # A signal that lands as a temp file is made, or a tool is forked,
+        # would leave it unlisted.
         with _signals_held():
             for path in out_paths:
                 directory = os.path.dirname(path) or "."
@@ -294,27 +165,32 @@ def _run_stage(commands, out_paths, feed_paths=None, *, runner=None):
                     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stage-")
                 except OSError as exc:
                     raise DataError(f"cannot create {path}: {exc.strerror}") from exc
-                os.close(fd)  # the runner and the tools open these by name
+                os.close(fd)  # the tools open these by name
                 tmps.append(tmp)
-        renamed = dict(zip(out_paths, tmps))
-        sent = [[renamed.get(arg, arg) for arg in command] for command in commands]
-        # A path that starts with "-" would read as an option, or as stdin.
-        paths = map(os.fspath, feed_paths or ())
-        sent[0] += (os.path.join(os.curdir, p) if p.startswith("-") else p for p in paths)
-        codes = runner.run(sent, tmps[0])
-        if codes is None:
-            names = " | ".join(command[0] for command in commands)
-            raise StageError(
-                f"stage runner of {names} exited with status {runner.proc.wait()} "
-                "before it reported"
-            )
+            renamed = dict(zip(out_paths, tmps))
+            argvs = [[renamed.get(arg, arg) for arg in command] for command in commands]
+            # A path that starts with "-" would read as an option, or as stdin.
+            paths = map(os.fspath, feed_paths or ())
+            argvs[0] += (os.path.join(os.curdir, p) if p.startswith("-") else p for p in paths)
+            fork_stage(argvs, tmps[0], pids)
+        codes = []
+        while pids:
+            # Wait without reaping: until it is reaped, the pid cannot be
+            # reused, so a signal meanwhile may still stop that tool.
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+            with _signals_held():
+                codes.append(os.waitstatus_to_exitcode(os.wait4(pids.pop(0), 0)[1]))
         for command, code in zip(commands, codes):
             if code != 0:
                 raise StageError(f"{' '.join(command)} exited with status {code}")
     except BaseException:
-        runner.close(stop=True)  # before the temp files go, which tools may open
-        for tmp in tmps:
-            os.unlink(tmp)
+        with _signals_held():  # before the temp files go, which tools may open
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+            for pid in pids:
+                os.waitpid(pid, 0)
+            for tmp in tmps:
+                os.unlink(tmp)
         raise
     with _signals_held():  # all of the stage's outputs, or none
         for path, tmp in zip(out_paths, tmps):
@@ -332,7 +208,7 @@ def _signals_held():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def stage_parse(config, *, runner=None):
+def stage_parse(config):
     """Flatten every XML file under readings_dir into the parsed file."""
     files = find_xml_files(config.readings_dir)
     if not files:
@@ -347,10 +223,10 @@ def stage_parse(config, *, runner=None):
         ("delf", "1"),
         ("delr", "3", "0"),
     ]
-    _run_stage(commands, [config.parsed_file], feed_paths=files, runner=runner)
+    _run_stage(commands, [config.parsed_file], feed_paths=files)
 
 
-def stage_validate(config, *, runner=None):
+def stage_validate(config):
     """Split parsed rows into valid (type name added) and invalid files."""
     if not os.path.isfile(config.master_path):
         raise UsageError(f"master file not found: {config.master_path}")
@@ -360,15 +236,15 @@ def stage_validate(config, *, runner=None):
         "cjoin1", "--reject", config.invalid_file,
         "key=2", config.master_path, config.parsed_file,
     )
-    _run_stage([join], [config.valid_file, config.invalid_file], runner=runner)
+    _run_stage([join], [config.valid_file, config.invalid_file])
 
 
-def stage_aggregate(config, *, runner=None):
+def stage_aggregate(config):
     """Sum valid reading values per type into the aggregate file."""
     if not os.path.isfile(config.valid_file):
         raise UsageError(f"valid file not found: {config.valid_file}")
     commands = [("self", "3", "5", config.valid_file), *_AGGREGATE_TOOLS]
-    _run_stage(commands, [config.aggregate_file], runner=runner)
+    _run_stage(commands, [config.aggregate_file])
 
 
 _STAGES = (
@@ -378,18 +254,12 @@ _STAGES = (
 )
 
 
-def run_single(config, keep_intermediates=False, *, runner=None):
-    """Run the three stages over one readings directory; returns stage times.
-
-    Every stage goes to ``runner``; by default the run starts one of its own.
-    """
-    if runner is None:
-        with StageRunner() as runner:
-            return run_single(config, keep_intermediates, runner=runner)
+def run_single(config, keep_intermediates=False):
+    """Run the three stages over one readings directory; returns stage times."""
     times = {}
     for name, stage in _STAGES:
         started = time.perf_counter()
-        stage(config, runner=runner)
+        stage(config)
         times[name] = time.perf_counter() - started
     if not keep_intermediates:
         os.unlink(config.parsed_file)
@@ -397,21 +267,16 @@ def run_single(config, keep_intermediates=False, *, runner=None):
 
 
 def run_batches(config, keep_intermediates=False):
-    """Run every batch sequentially, then re-aggregate the batch totals, all
-    through one stage runner."""
+    """Run every batch sequentially, then re-aggregate the batch totals."""
     if not config.batch_dirs:
         raise UsageError("no batch_dirs configured")
     reports = []
-    with StageRunner() as runner:
-        for batch in config.batch_dirs:
-            times = run_single(config.for_batch(batch), keep_intermediates, runner=runner)
-            reports.append((batch, times))
-        # Batch aggregates are re-aggregated exactly; exact sums make this
-        # equal to aggregating all valid rows in one run.
-        batch_files = [config.for_batch(b).aggregate_file for b in config.batch_dirs]
-        _run_stage(
-            _AGGREGATE_TOOLS, [config.aggregate_file], feed_paths=batch_files, runner=runner
-        )
+    for batch in config.batch_dirs:
+        reports.append((batch, run_single(config.for_batch(batch), keep_intermediates)))
+    # Batch aggregates are re-aggregated exactly; exact sums make this
+    # equal to aggregating all valid rows in one run.
+    batch_files = [config.for_batch(b).aggregate_file for b in config.batch_dirs]
+    _run_stage(_AGGREGATE_TOOLS, [config.aggregate_file], feed_paths=batch_files)
     return reports
 
 
@@ -434,8 +299,8 @@ def format_summary(reports):
 
 def run_cli(prog, body):
     """``core.run_tool`` with SIGINT and SIGTERM as ``SystemExit(128 +
-    signum)`` (130 and 143), so a running stage is stopped and cleaned up
-    and the bytecode cache is removed.  A signal ignored at entry, as a
+    signum)`` (130 and 143), so a running stage's tools are stopped and
+    reaped and its temp files removed.  A signal ignored at entry, as a
     shell's background job has SIGINT, stays ignored."""
     previous = {
         signum: signal.signal(signum, lambda signum, _: sys.exit(128 + signum))

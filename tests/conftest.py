@@ -1,4 +1,4 @@
-import importlib.util
+import os
 import subprocess
 import sys
 
@@ -141,21 +141,15 @@ def make_pipeline_config(tmp_path, readings, master, batch_dirs=None):
     )
 
 
-def launcher_running(code):
-    """``pipeline.LAUNCHER`` with ``code`` in place of its call of the stage
-    runner: the same bytecode cache (the first argument) and sys.path."""
-    from meterpipe.pipeline import LAUNCHER
-
-    setup, found, _ = LAUNCHER.partition("from meterpipe.__main__ import serve")
-    assert found, LAUNCHER
-    return setup + code
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def cached_path(prefix, source):
-    """Where a runner whose bytecode cache is ``prefix`` caches ``source``."""
-    saved = sys.pycache_prefix
-    sys.pycache_prefix = str(prefix)
-    try:
-        return importlib.util.cache_from_source(source)
-    finally:
-        sys.pycache_prefix = saved
+@pytest.fixture
+def no_child_left():
+    """Every tool of an in-process stage is a child of the test process; a
+    tool that the stage did not reap shows up here after the test."""
+    yield
+    assert_no_child_left()

@@ -14,8 +14,6 @@ from conftest import (
     SAMPLE_FLAT_ROWS,
     SAMPLE_XML,
     VALID_HEAD_ROWS,
-    cached_path,
-    launcher_running,
     run_tool,
 )
 from meterpipe.generator import GeneratorConfig, generate_corpus
@@ -498,77 +496,71 @@ class TestDispatcher:
         assert b"xmldir" in proc.stderr
 
 
+# meterpipe's own source tree, for interpreters started with -S.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def importtime_of(code):
+    """The modules that ``python -S -X importtime -c code`` and every process
+    it forks import, in order; ``code`` runs with meterpipe's source tree
+    first on sys.path."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c",
+         f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return imported_modules(proc.stderr)
+
+
+@pytest.mark.usefixtures("no_child_left")
 class TestToolStartup:
-    """Start-up guards, on the path the orchestrator starts tools by: under
-    ``python -S``, through ``pipeline.LAUNCHER``."""
+    """Start-up guards: what a tool started alone imports, and what a stage
+    forked from the orchestrator imports."""
 
-    def test_tool_modules_do_not_import_re(self, tmp_path):
-        # re and its compiled patterns would add to every tool start.
-        import meterpipe.core
-
-        code = launcher_running(
+    def test_tool_modules_do_not_import_re(self):
+        # re and its compiled patterns would add to every start of a tool.
+        imports = importtime_of(
             "import meterpipe.__main__, meterpipe.tabular, meterpipe.join, "
-            "meterpipe.sortagg, meterpipe.xmlflat; print('re' in sys.modules); "
-            "print(meterpipe.core.__spec__.origin); print(meterpipe.core.__cached__)"
+            "meterpipe.sortagg, meterpipe.xmlflat"
         )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        # Imported from the source, with its bytecode cached under the prefix.
-        core = meterpipe.core.__file__
-        assert proc.stdout.splitlines() == ["False", core, cached_path(tmp_path, core)]
-        assert os.path.isfile(cached_path(tmp_path, core))
+        assert "meterpipe.xmlflat" in imports
+        assert "re" not in imports
 
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
-    def test_only_sm2_imports_decimal(self, tool, tmp_path, capfd, monkeypatch):
+    def test_only_sm2_imports_decimal(self, tool, tmp_path):
         # decimal costs several ms per start, and only sm2 sums.
-        from meterpipe.pipeline import _run_stage
-
         master = tmp_path / "master"
         master.write_text("\n".join(MASTER_ROWS) + "\n")
         args = [str(master) if a == "MASTER" else a for a in LEADING_ARGS[tool]]
         one_row = tmp_path / "row"
         one_row.write_text({"xmldir": SAMPLE_XML, "sm2": "K 1\n"}.get(tool, "K label 1\n"))
-        # As -X importtime, for the stage runner and the tools it forks.
-        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
-        capfd.readouterr()
-        _run_stage(
-            [(tool, *args), ("self", "1")], [str(tmp_path / "out")], feed_paths=[one_row]
+        imports = importtime_of(
+            "from meterpipe.pipeline import _run_stage; "
+            f"_run_stage([{(tool, *args)!r}, ('self', '1')], [{str(tmp_path / 'out')!r}], "
+            f"feed_paths=[{str(one_row)!r}])"
         )
-        imports = imported_modules(capfd.readouterr().err)
         assert "meterpipe.core" in imports
         assert any("decimal" in name for name in imports) == (tool == "sm2")
 
-    def test_no_socket_is_imported(self, tmp_path, capfd, monkeypatch):
-        # Stages go to the runner as data on its stdin; no socket carries them.
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", "import meterpipe.pipeline"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        imports = imported_modules(proc.stderr)
-        assert "meterpipe.pipeline" in imports
-        assert not [name for name in imports if "socket" in name]
-
-        from meterpipe.pipeline import _run_stage
-
+    def test_no_socket_is_imported(self, tmp_path):
+        # Nothing carries a stage over a socket: the tools are forks.
         rows = tmp_path / "rows"
         rows.write_text("K a\n")
-        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # for the runner
-        capfd.readouterr()
-        _run_stage([("self", "1")], [str(tmp_path / "out")], feed_paths=[rows])
-        imports = imported_modules(capfd.readouterr().err)
+        imports = importtime_of(
+            "from meterpipe.pipeline import _run_stage; "
+            f"_run_stage([('self', '1')], [{str(tmp_path / 'out')!r}], feed_paths=[{str(rows)!r}])"
+        )
+        assert "meterpipe.pipeline" in imports
         assert "meterpipe.__main__" in imports
         assert not [name for name in imports if "socket" in name]
         assert (tmp_path / "out").read_text() == "K\n"
 
 
-def run_pipeline(tmp_path, readings, master):
-    """``pipeline run`` over ``readings``, with its outputs under tmp_path."""
+def run_pipeline(tmp_path, readings, master, **kwargs):
+    """``pipeline run`` over ``readings``, with its outputs under tmp_path;
+    ``kwargs`` go to ``subprocess.run``."""
     cfg = tmp_path / "cfg"
     cfg.write_text(
         f"readings_dir={readings}\nparsed_dir={tmp_path / 'p'}\n"
@@ -578,6 +570,7 @@ def run_pipeline(tmp_path, readings, master):
     return subprocess.run(
         [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(cfg)],
         capture_output=True,
+        **kwargs,
     )
 
 
@@ -590,6 +583,7 @@ def imported_modules(err):
     ]
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestPipelineCli:
     def test_gen_then_run(self, tmp_path):
         out = subprocess.run(
@@ -696,6 +690,29 @@ class TestPipelineCli:
             capture_output=True,
         )
         assert out.returncode == 1
+
+    def test_a_config_that_is_not_utf8_is_one_line(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"readings_dir=\xff\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(bad)],
+            capture_output=True,
+        )
+        assert out.returncode == 1
+        assert out.stdout == b""
+        assert lines(out.stderr) == [f"pipeline: cannot read config {bad}: not UTF-8 text"]
+
+    @pytest.mark.parametrize("fd", [0, 1])
+    def test_a_run_with_stdin_or_stdout_closed_succeeds(self, tmp_path, sample_dir, fd):
+        # The tools are forks of a process that has no sys.stdin or sys.stdout.
+        out = run_pipeline(tmp_path, *sample_dir, preexec_fn=lambda: os.close(fd))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == b""
+        assert (tmp_path / "c" / "MEASURED_VALUES_by_TYPE").read_text().splitlines() == [
+            "TYPE01 16.3959",
+            "TYPE02 17.9735",
+            "TYPE03 17.8280",
+        ]
 
     def test_gen_rejects_bad_ratio(self, tmp_path):
         out = subprocess.run(
@@ -858,6 +875,16 @@ class TestBenchCli:
         parsed.write_bytes(b"y" * 60)
         proc = run_tool("bench", "reduction", str(xml), str(parsed))
         assert proc.stdout.strip() == b"0.9400"
+
+    def test_a_config_that_is_not_utf8_is_one_line(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"repetitions=1\n# r\xe9sum\xe9\n")
+        report = tmp_path / "report.csv"
+        proc = run_tool("bench", "run", "--config", str(bad), "--out", str(report))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"bench: cannot read config {bad}: not UTF-8 text"]
+        assert not report.exists()
 
     def test_reduction_of_a_directory_is_a_usage_error(self, tmp_path):
         xml = tmp_path / "xml"

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import resource
@@ -6,7 +7,6 @@ import signal
 import stat
 import subprocess
 import sys
-import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -18,10 +18,10 @@ from conftest import (
     SAMPLE_PARSED_ROWS,
     SAMPLE_VALID_ROWS,
     SAMPLE_XML,
-    cached_path,
-    launcher_running,
+    assert_no_child_left,
     make_pipeline_config,
 )
+from meterpipe import __main__ as dispatcher
 from meterpipe import pipeline
 from meterpipe.core import DataError, UsageError
 from meterpipe.generator import GeneratorConfig, generate_corpus, load_sidecar
@@ -36,6 +36,11 @@ from meterpipe.pipeline import (
     stage_validate,
     total_seconds,
 )
+
+
+# Every tool of a stage run here is this process's child; none may outlive
+# its test.
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def read_lines(path):
@@ -300,104 +305,44 @@ class TestToolLauncher:
 
 
 class TestToolBytecode:
-    """Stage runners import meterpipe from its sources and cache the bytecode
-    in a private directory, written once per orchestrator and removed at
-    exit."""
-
-    @pytest.fixture
-    def fresh(self, tmp_path, monkeypatch):
-        """A private temporary directory, no bytecode cache made yet, and
-        PYTHONDONTWRITEBYTECODE set, which the runners must override."""
-        tmp = tmp_path / "tmp"
-        tmp.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        monkeypatch.setattr(pipeline, "_cache_dir", None)
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-        return tmp
-
-    def test_a_started_tool_imports_the_compiled_core(
-        self, tmp_path, capfd, monkeypatch, fresh
-    ):
-        rows = tmp_path / "rows"
-        rows.write_text("K a 1\n")
-        stage = ([("self", "1"), ("self", "1")], [str(tmp_path / "out")])
-        pipeline._run_stage(*stage, feed_paths=[rows])  # fills the cache
-        core = cached_path(pipeline._bytecode_cache(), sys.modules["meterpipe.core"].__file__)
-        monkeypatch.setenv("PYTHONVERBOSE", "1")  # as -v, for the stage runner
-        capfd.readouterr()
-        pipeline._run_stage(*stage, feed_paths=[rows])
-        assert f"# code object from {core!r}" in capfd.readouterr().err.splitlines()
-        assert (tmp_path / "out").read_text() == "K\n"
-
-    def test_two_runs_cache_each_module_a_stage_imports_once(
-        self, tmp_path, sample_dir, fresh
-    ):
-        config = make_pipeline_config(tmp_path, *sample_dir)
-        run_single(config)
-        (cache,) = fresh.iterdir()
-        package = Path(cached_path(cache, pipeline.__file__)).parent
-        mtimes = {p.name: p.stat().st_mtime_ns for p in package.iterdir()}
-        modules = ("__init__", "__main__", "core", "join", "sortagg", "tabular", "xmlflat")
-        tag = sys.implementation.cache_tag
-        assert sorted(mtimes) == [f"{name}.{tag}.pyc" for name in modules]
-        run_single(config)
-        assert {p.name: p.stat().st_mtime_ns for p in package.iterdir()} == mtimes
-        # The runner imports map's tempfile and sm2's decimal after its own
-        # modules; they load from the standard library's cache, not this one.
-        assert not list(cache.rglob("tempfile.*"))
-        assert not list(cache.rglob("decimal.*"))
-
-    @staticmethod
-    def imported(err):
-        """The modules a ``-v`` process says it imported, in order."""
-        return [line.split("'")[1] for line in err.splitlines() if line.startswith("import '")]
+    """Tools are forks of the orchestrator: they import nothing that it has
+    imported, and nothing is written beside the sources."""
 
     @pytest.mark.parametrize(
         "stage, first_use",
-        [("parse", ["tempfile"]), ("validate", []), ("aggregate", ["decimal"]),
+        [("parse", []), ("validate", []), ("aggregate", ["decimal"]),
          ("reaggregate", ["decimal"])],
     )
-    def test_a_stage_sent_again_imports_nothing(
-        self, tmp_path, sample_dir, capfd, monkeypatch, fresh, stage, first_use
-    ):
-        # The runner imports what a tool imports on first use before it
-        # forks the tool, so that later stages' tools inherit it.
+    def test_a_stage_sent_again_imports_nothing(self, tmp_path, sample_dir, stage, first_use):
+        # The orchestrator imports what a tool imports on first use before it
+        # forks the tool, so that later stages' tools inherit it; map's
+        # tempfile comes with meterpipe.pipeline.  -v is a flag of the
+        # interpreter, so it reaches the forks of a process started with it.
         config = make_pipeline_config(tmp_path, *sample_dir)
         run_single(config, keep_intermediates=True)  # every stage's input
-        sends = {
-            "parse": lambda runner: stage_parse(config, runner=runner),
-            "validate": lambda runner: stage_validate(config, runner=runner),
-            "aggregate": lambda runner: stage_aggregate(config, runner=runner),
-            "reaggregate": lambda runner: pipeline._run_stage(
-                pipeline._AGGREGATE_TOOLS,
-                [str(tmp_path / "total")],
-                feed_paths=[config.aggregate_file] * 3,
-                runner=runner,
-            ),
-        }
-        monkeypatch.setenv("PYTHONVERBOSE", "1")  # as -v, for the stage runner
-        capfd.readouterr()
-        with pipeline.StageRunner() as runner:
-            sends[stage](runner)
-            first = self.imported(capfd.readouterr().err)
-            assert [m for m in first if m in ("tempfile", "decimal")] == first_use
-            sends[stage](runner)
-            assert self.imported(capfd.readouterr().err) == []
+        call = {
+            "parse": "pipeline.stage_parse(config)",
+            "validate": "pipeline.stage_validate(config)",
+            "aggregate": "pipeline.stage_aggregate(config)",
+            "reaggregate": "pipeline._run_stage(pipeline._AGGREGATE_TOOLS, "
+            f"[{str(tmp_path / 'total')!r}], feed_paths=[config.aggregate_file] * 3)",
+        }[stage]
+        code = (
+            "import sys; from meterpipe import pipeline; "
+            f"config = pipeline.PipelineConfig(**{vars(config)!r}); "
+            f"print('stage: first', file=sys.stderr); {call}; "
+            f"print('stage: again', file=sys.stderr); {call}"
+        )
+        out = subprocess.run([sys.executable, "-v", "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        err = out.stderr.splitlines()
+        first, again = err.index("stage: first"), err.index("stage: again")
 
-    def test_an_unusable_temporary_directory_is_a_one_line_data_error(
-        self, tmp_path, sample_dir, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        monkeypatch.setattr(pipeline, "_cache_dir", None)
-        cfg = write_config(tmp_path, *sample_dir)
-        assert pipeline.main(["run", "--config", cfg]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            f"pipeline: cannot prepare tool bytecode in {tmp_path / 'missing'}: "
-            "No such file or directory"
-        ]
-        assert not (tmp_path / "p").exists()
+        def imported(lines):
+            return [line.split("'")[1] for line in lines if line.startswith("import '")]
+
+        assert [m for m in imported(err[first:again]) if m in ("tempfile", "decimal")] == first_use
+        assert imported(err[again:]) == []
 
     def test_a_run_leaves_its_temporary_directory_empty(self, tmp_path, sample_dir):
         tmp = tmp_path / "tmp"
@@ -430,25 +375,9 @@ class TestToolBytecode:
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         )
         assert out.returncode == 0, out.stderr
-        # The validate and aggregate stages import join and sortagg, after
-        # the parse stage's imports.
         assert sorted(os.listdir(package)) == before
         assert not list(package.parent.rglob("__pycache__"))
         assert read_lines(tmp_path / "v" / "ALL_VALID_READINGS") == SAMPLE_VALID_ROWS
-
-    def test_a_dead_orchestrators_cache_is_removed(self, tmp_path, fresh):
-        dead = subprocess.Popen([sys.executable, "-S", "-c", "pass"])
-        dead.wait()
-        stale = fresh / f"meterpipe-{dead.pid}-abc"
-        (stale / "meterpipe").mkdir(parents=True)
-        (stale / "meterpipe" / "core.pyc").write_bytes(b"")
-        live = fresh / f"meterpipe-{os.getpid()}-def"
-        live.mkdir()
-        other = fresh / "meterpipe-bench-ghi"  # not a bytecode cache
-        other.mkdir()
-        cache = pipeline._bytecode_cache()
-        assert os.path.basename(cache).startswith(f"meterpipe-{os.getpid()}-")
-        assert sorted(fresh.iterdir()) == sorted([Path(cache), live, other])
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -485,9 +414,9 @@ def assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, 
     os.mkfifo(readings / "zz.xml")
     tmp = tmp_path / "tmp"
     tmp.mkdir()
+    cfg = write_config(tmp_path, readings, master)
     run = subprocess.Popen(
-        [sys.executable, "-m", "meterpipe", "pipeline", "run",
-         "--config", write_config(tmp_path, readings, master)],
+        [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", cfg],
         stderr=subprocess.PIPE,
         env=dict(os.environ, TMPDIR=str(tmp)),
         # A shell's background job may hand SIGINT down ignored.
@@ -504,7 +433,8 @@ def assert_a_signal_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir, 
     assert err == b""
     assert list(parsed.iterdir()) == []
     assert list(tmp.iterdir()) == []
-    assert processes_naming(str(tmp)) == []
+    # The tools are forks of the run, so their command lines name its config.
+    assert processes_naming(cfg) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
@@ -531,7 +461,7 @@ def test_an_output_directory_that_cannot_be_made_is_a_one_line_data_error(
         "READING_TYPE_CONVERTER", "blocker", "cfg", "readings", "tmp",
     ]
     assert list(tmp.iterdir()) == []
-    assert processes_naming(str(tmp)) == []
+    assert processes_naming(str(cfg)) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
@@ -547,8 +477,8 @@ def test_sigint_stops_a_run_and_leaves_nothing_behind(tmp_path, sample_dir):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_sigterm_stops_a_batched_run_and_leaves_nothing_behind(tmp_path):
     config = batched_config(tmp_path)
-    # The run's runner has served batches b0-b2 when b3's xmldir blocks
-    # opening this FIFO.
+    # The run has published batches b0-b2 when b3's xmldir blocks opening
+    # this FIFO.
     os.mkfifo(Path(config.readings_dir) / "b3" / "zz.xml")
     tmp = tmp_path / "tmp"
     tmp.mkdir()
@@ -571,10 +501,10 @@ def test_sigterm_stops_a_batched_run_and_leaves_nothing_behind(tmp_path):
     assert list((tmp_path / "p" / "b3").iterdir()) == []
     assert not (tmp_path / "c" / "MEASURED_VALUES_by_TYPE").exists()
     assert list(tmp.iterdir()) == []
-    assert processes_naming(str(tmp)) == []
+    assert processes_naming(cfg) == []
 
 
-# Tools that misbehave on purpose, for the stage runner's fault paths.
+# Tools that misbehave on purpose, for _run_stage's fault paths.
 FAULT_TOOLS = """
 import os, signal, sys
 
@@ -595,42 +525,21 @@ def die(argv):
 
 
 class TestStageRunner:
-    """One runner process per stage forks the tools; however a stage fails,
-    no process of it survives _run_stage."""
-
-    @pytest.fixture
-    def runners(self, monkeypatch):
-        """The runner of every stage started from here on."""
-        started = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
-        return started
+    """_run_stage forks every tool of a stage from this process and reaps
+    it; however a stage fails, no process of it survives _run_stage (see
+    the no_child_left fixture)."""
 
     @pytest.fixture
     def fault_tools(self, tmp_path, monkeypatch):
-        """Stage runners that also know the tools of FAULT_TOOLS by name."""
+        """The tools of FAULT_TOOLS, known by name to the forked tools."""
         faults = tmp_path / "faults"
         faults.mkdir()
         (faults / "faults.py").write_text(FAULT_TOOLS)
+        monkeypatch.syspath_prepend(str(faults))
+        for name in ("boom", "tee", "die"):
+            monkeypatch.setitem(dispatcher._TOOLS, name, ("faults", name))
 
-        launcher = launcher_running(
-            f"sys.path.append({str(faults)!r}); import meterpipe.__main__ as m; "
-            "m._TOOLS.update((n, ('faults', n)) for n in ('boom', 'tee', 'die')); "
-            "sys.exit(m.serve())"
-        )
-        monkeypatch.setattr(pipeline, "LAUNCHER", launcher)
-
-    @staticmethod
-    def assert_gone(runner):
-        with pytest.raises(ProcessLookupError):
-            os.killpg(runner.pid, 0)
-
-    def test_a_failing_middle_tool_is_named_and_stops_the_stage(self, tmp_path, runners):
+    def test_a_failing_middle_tool_is_named_and_stops_the_stage(self, tmp_path):
         rows = tmp_path / "rows"
         rows.write_text("a b\n")
         out = tmp_path / "out" / "file"
@@ -638,12 +547,9 @@ class TestStageRunner:
         with pytest.raises(StageError, match="^self 9 exited with status 2$"):
             pipeline._run_stage(commands, [str(out)], feed_paths=[rows])
         assert list(out.parent.iterdir()) == []
-        (runner,) = runners
-        self.assert_gone(runner)
+        assert_no_child_left()
 
-    def test_a_last_tool_that_stops_early_does_not_block_the_others(
-        self, tmp_path, runners
-    ):
+    def test_a_last_tool_that_stops_early_does_not_block_the_others(self, tmp_path):
         # More rows than a pipe holds: the tools upstream of one that fails
         # before reading must see a closed pipe, not a full one.
         rows = tmp_path / "rows"
@@ -652,9 +558,9 @@ class TestStageRunner:
         commands = [("self", "1", "2"), ("self", "1"), ("self", "0")]
         with pytest.raises(StageError, match="^self 0 exited with status 1$"):
             pipeline._run_stage(commands, [str(out)], feed_paths=[rows])
-        self.assert_gone(runners[0])
+        assert_no_child_left()
 
-    def test_an_unreadable_file_fails_the_stage(self, tmp_path, sample_dir, runners, capfd):
+    def test_an_unreadable_file_fails_the_stage(self, tmp_path, sample_dir, capfd):
         readings, master = sample_dir
         # More than the pipes hold, so the tools are running when xmldir
         # reaches the file it cannot open.
@@ -669,20 +575,17 @@ class TestStageRunner:
             f"xmldir: cannot open {dangling}: No such file or directory\n"
         )
         assert list(Path(config.parsed_dir).iterdir()) == []
-        (runner,) = runners
-        self.assert_gone(runner)
+        assert_no_child_left()
 
-    def test_a_tool_killed_by_a_signal_has_a_negative_status(
-        self, tmp_path, runners, fault_tools
-    ):
+    def test_a_tool_killed_by_a_signal_has_a_negative_status(self, tmp_path, fault_tools):
         out = tmp_path / "out"
         with pytest.raises(StageError, match=f"^die TERM exited with status -{signal.SIGTERM}$"):
             pipeline._run_stage([("die", "TERM"), ("self", "1")], [str(out)])
         assert not out.exists()
-        self.assert_gone(runners[0])
+        assert_no_child_left()
 
     def test_a_forked_tool_that_raises_exits_1_and_nothing_runs_twice(
-        self, tmp_path, runners, fault_tools, capfd
+        self, tmp_path, fault_tools, capfd
     ):
         rows = tmp_path / "rows"
         rows.write_text("a 1\nb 2\n")
@@ -695,22 +598,46 @@ class TestStageRunner:
         assert err.count("Traceback") == 1
         assert err.rstrip().endswith("RuntimeError: boom")
         assert log.read_text() == "a 1\nb 2\n"
-        self.assert_gone(runners[0])
+        assert_no_child_left()
 
-    def test_a_killed_last_tool_is_named_and_every_tool_is_reaped(
-        self, tmp_path, runners, fault_tools
+    def test_a_tools_error_line_reaches_fd_2_whatever_sys_stderr_is(
+        self, tmp_path, capfd, monkeypatch
     ):
+        # A forked tool inherits this process's sys.stderr, here an object
+        # in memory; it writes to fd 2 all the same, before it exits.
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        capfd.readouterr()
+        with pytest.raises(StageError, match="^self 0 exited with status 1$"):
+            pipeline._run_stage([("self", "0")], [str(tmp_path / "out")])
+        assert capfd.readouterr().err == "self: invalid field spec '0': index must be >= 1\n"
+        assert sys.stderr.getvalue() == ""
+
+    def test_bytes_buffered_on_stdout_before_a_stage_appear_once(self, tmp_path, sample_dir):
+        # A stream of the caller's own on a pipe, block-buffered: each tool
+        # drops the one it inherits, and would write what it holds.
+        config = make_pipeline_config(tmp_path, *sample_dir)
+        code = (
+            "import sys; from meterpipe.pipeline import PipelineConfig, run_single; "
+            "sys.stdout = open(1, 'w', closefd=False); "
+            f"sys.stdout.write('x'); run_single(PipelineConfig(**{vars(config)!r}))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"x"
+        assert read_lines(config.valid_file) == SAMPLE_VALID_ROWS
+
+    def test_a_killed_last_tool_is_named_and_every_tool_is_reaped(self, tmp_path, fault_tools):
         out = tmp_path / "out"
         with pytest.raises(StageError, match=f"^die KILL exited with status -{signal.SIGKILL}$"):
             pipeline._run_stage([("self", "1"), ("die", "KILL")], [str(out)])
         assert list(tmp_path.iterdir()) == [tmp_path / "faults"]
-        # Every tool is the runner's own child, reaped before it replied.
-        self.assert_gone(runners[0])
+        assert_no_child_left()
 
-    def test_a_stage_of_any_size_reaches_the_runner_whole(self, tmp_path, runners):
+    def test_a_stage_of_any_size_reaches_the_runner_whole(self, tmp_path):
         # An argument over 64 KiB and 1,000 paths for the first tool: every
         # row arrives, in file order (msort is stable on the one key), and
-        # only the row the argument names goes.
+        # only the row the argument names goes.  Nothing execs, so no
+        # ARG_MAX applies.
         long = "x" * 70000
         rows = tmp_path / "rows"
         rows.mkdir()
@@ -722,40 +649,25 @@ class TestStageRunner:
         commands = [("msort", "key=3"), ("delr", "2", long)]
         pipeline._run_stage(commands, [str(out)], feed_paths=feed)
         assert out.read_text().splitlines() == [f"r{i} {i} k" for i in range(1000) if i != 500]
-        (runner,) = runners
-        self.assert_gone(runner)
-        assert runner.returncode == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_the_runner_keeps_no_fd_of_a_stage(self, tmp_path):
         rows = tmp_path / "rows"
         rows.write_text("a b\n")
-        with pipeline.StageRunner() as runner:
-            for n in (1, 3, 8):
-                out = tmp_path / f"out{n}"
-                pipeline._run_stage(
-                    [("self", "1")] * n, [str(out)], feed_paths=[rows], runner=runner
-                )
-                assert out.read_text() == "a\n"
-                fds = sorted(os.listdir(f"/proc/{runner.proc.pid}/fd"), key=int)
-                assert fds == ["0", "1", "2"]
+        before = sorted(os.listdir("/proc/self/fd"), key=int)
+        for n in (1, 3, 8):
+            out = tmp_path / f"out{n}"
+            pipeline._run_stage([("self", "1")] * n, [str(out)], feed_paths=[rows])
+            assert out.read_text() == "a\n"
+            assert sorted(os.listdir("/proc/self/fd"), key=int) == before
 
-    def test_a_runner_that_dies_before_it_reports_is_a_stage_error(self, tmp_path, runners):
-        out = tmp_path / "out"
-        with pipeline.StageRunner() as runner:
-            pipeline._run_stage([("self", "1")], [str(tmp_path / "first")], runner=runner)
-            os.kill(runners[0].pid, signal.SIGKILL)
-            with pytest.raises(
-                StageError,
-                match=f"^stage runner of self \\| self exited with status -{signal.SIGKILL} "
-                "before it reported$",
-            ):
-                pipeline._run_stage([("self", "1"), ("self", "1")], [str(out)], runner=runner)
-        assert sorted(tmp_path.iterdir()) == [tmp_path / "first"]
-        (runner,) = runners
-        self.assert_gone(runner)
+    def test_a_run_starts_no_interpreter(self, tmp_path, sample_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started a program")
 
-    def test_a_run_starts_one_runner(self, tmp_path, sample_dir, runners):
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        for name in [name for name in dir(os) if name.startswith("execv")]:
+            monkeypatch.setattr(os, name, refuse)
         config = make_pipeline_config(tmp_path, *sample_dir)
         run_single(config)
         assert read_lines(config.aggregate_file) == [
@@ -763,36 +675,41 @@ class TestStageRunner:
             "TYPE02 17.9735",
             "TYPE03 17.8280",
         ]
-        assert len(runners) == 1
-        self.assert_gone(runners[0])
-        assert runners[0].returncode == 0
-
         batched = batched_config(tmp_path / "batched")
         run_batches(batched)
-        assert len(runners) == 2
-        self.assert_gone(runners[1])
-        assert runners[1].returncode == 0
+        assert Path(batched.aggregate_file).read_bytes() == BATCHED_AGGREGATE
 
     def test_a_run_reaps_every_tool_before_it_returns(self, tmp_path):
-        # The tools' CPU reaches RUSAGE_CHILDREN when the runner is reaped.
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         run_batches(batched_config(tmp_path))
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
-        # No process of this test's is left to reap.
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
 
-    def test_a_bad_file_in_a_later_batch_stops_the_run_and_its_runner(
-        self, tmp_path, runners
-    ):
+    def test_each_stages_cpu_counts_when_the_stage_ends(self, tmp_path, monkeypatch):
+        # Each stage reaps its own tools, so the RUSAGE_CHILDREN delta across
+        # a stage is that stage's CPU, also inside a run.
+        config, _ = generated_config(tmp_path, files=200)
+        deltas = []
+
+        def parse(config):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            stage_parse(config)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            deltas.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+
+        monkeypatch.setattr(pipeline, "_STAGES", (("parse", parse), *pipeline._STAGES[1:]))
+        run_single(config)
+        (delta,) = deltas
+        assert delta > 0
+
+    def test_a_bad_file_in_a_later_batch_stops_the_run_and_its_runner(self, tmp_path):
         config = batched_config(tmp_path)
         bad = Path(config.readings_dir) / "b3" / "zz.xml"
         bad.write_text("<MeterReadings><MeterReading>")
         with pytest.raises(StageError, match="^xmldir "):
             run_batches(config)
-        (runner,) = runners
-        self.assert_gone(runner)
+        assert_no_child_left()
         # Batches 0-2 were published; batch 3 and the final aggregate were not.
         for directory in (config.parsed_dir, config.valid_dir, config.corrected_dir):
             assert not list(Path(directory).rglob(".stage-*"))
@@ -802,7 +719,7 @@ class TestStageRunner:
 
 
 # A multi-batch corpus, and its aggregate as published when each stage
-# started a runner of its own.
+# started an interpreter of its own.
 BATCHES = tuple(f"b{i}" for i in range(5))
 BATCHED_AGGREGATE = b"TYPE01 235.8463\nTYPE02 302.2905\nTYPE03 286.3377\n"
 
