@@ -33,7 +33,11 @@ class DataError(Exception):
 
 def split_fields(line):
     """Split a line into fields on runs of ASCII space and tab."""
-    return [tok for tok in line.replace("\t", " ").split(" ") if tok]
+    fields = line.split(" ")
+    # A row of single spaces, the tools' own output, splits in one call.
+    if "" in fields or "\t" in line:
+        return [tok for tok in line.replace("\t", " ").split(" ") if tok]
+    return fields
 
 
 def _is_digits(text):
@@ -255,7 +259,9 @@ def row_bytes(text):
 def scratch_file():
     """An anonymous read/write text file for spills and spools, in the
     system temporary directory (``$TMPDIR`` if set)."""
-    import tempfile  # on first use; meterpipe.pipeline imports it for map
+    # On first use.  No stage tool spools or spills on its normal path: the
+    # parse stage's map runs in one pass, and msort spills only past --mem.
+    import tempfile
 
     return tempfile.TemporaryFile("w+", **_TEXT_KW)
 

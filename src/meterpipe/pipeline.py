@@ -219,7 +219,7 @@ def stage_parse(config):
         ("filter-tags",),
         ("delr", "2", "MeterID"),
         ("group-number",),
-        ("map", "num=1"),
+        ("map", "num=1", "--labels", ",".join(sorted(tabular.DEFAULT_TAGS))),
         ("delf", "1"),
         ("delr", "3", "0"),
     ]

@@ -94,41 +94,44 @@ def _parse_cell(line, lineno):
     return fields[0], fields[1], " ".join(fields[2:])
 
 
-def collect_labels(rows):
-    """Pivot pass 1: the sorted union of labels, checking cell uniqueness.
-
-    Cells of one key must be consecutive; a (key, label) pair repeated
-    within its run is a data error.
-    """
-    labels = set()
-    run_key = None
-    run_labels = set()
-    for lineno, line in enumerate(rows, 1):
-        key, label, _ = _parse_cell(line, lineno)
-        if key != run_key:
-            run_key = key
-            run_labels = set()
-        if label in run_labels:
-            raise DataError(f"line {lineno}: duplicate cell ({key}, {label})")
-        run_labels.add(label)
-        labels.add(label)
-    return sorted(labels)
-
-
-def emit_pivot(rows, ordered_labels):
-    """Pivot pass 2: one wide row per consecutive key run, columns in the
-    given label order, absent cells filled with "0". No header row."""
+def _cell_runs(rows, labels=None):
+    """Yield (key, {label: value}) for each run of consecutive cells that
+    share a key.  A (key, label) pair repeated within its run, or a label
+    outside ``labels`` when it is given, is a data error."""
     key = None
     cells = {}
     for lineno, line in enumerate(rows, 1):
         k, label, value = _parse_cell(line, lineno)
         if k != key:
             if key is not None:
-                yield _pivot_row(key, cells, ordered_labels)
+                yield key, cells
             key = k
             cells = {}
+        if label in cells:
+            raise DataError(f"line {lineno}: duplicate cell ({k}, {label})")
+        if labels is not None and label not in labels:
+            raise DataError(f"line {lineno}: label {label!r} is not in --labels")
         cells[label] = value
     if key is not None:
+        yield key, cells
+
+
+def collect_labels(rows):
+    """Pivot pass 1: the sorted union of labels, checking the cells as
+    emit_pivot does."""
+    labels = set()
+    for _, cells in _cell_runs(rows):
+        labels.update(cells)
+    return sorted(labels)
+
+
+def emit_pivot(rows, ordered_labels):
+    """One wide row per consecutive key run, columns in the given label
+    order, absent cells filled with "0".  No header row.  It streams: with
+    labels fixed in advance it is the whole pivot, and after collect_labels
+    it is pass 2."""
+    known = frozenset(ordered_labels)
+    for key, cells in _cell_runs(rows, known):
         yield _pivot_row(key, cells, ordered_labels)
 
 
@@ -202,22 +205,38 @@ def group_number_main(argv=None):
 
 
 def map_main(argv=None):
-    usage = "usage: map num=1 [file]"
+    usage = "usage: map num=1 [--labels a,b,...] [file]"
 
-    def rows(args):
+    def rows(args, labels=None):
         if not args or not args[0].startswith("num="):
             raise UsageError(f"expected num=<k>\n{usage}")
         if args[0] != "num=1":
             raise UsageError("only num=1 is supported")
-        return _pivot_file(optional_file(args[1:], usage))
+        path = optional_file(args[1:], usage)
+        if labels is None:
+            return _pivot_file(path)
+        labels = _parse_labels(labels)
+        return emit_pivot(input_rows(path), labels)
 
-    return stream_tool("map", usage, argv, rows)
+    return stream_tool("map", usage, argv, rows, options=("labels",))
+
+
+def _parse_labels(text):
+    """``--labels``: a comma-separated list of distinct labels, each one
+    field (not empty, no whitespace)."""
+    labels = text.split(",")
+    for label in labels:
+        if label.split() != [label]:
+            raise UsageError(f"invalid label {label!r} in --labels {text!r}")
+        if labels.count(label) > 1:
+            raise UsageError(f"repeated label {label!r} in --labels {text!r}")
+    return labels
 
 
 def _pivot_file(path):
-    # Two passes are needed for the global label set, so stdin, or a named
-    # input that cannot seek (a FIFO, /dev/stdin on a pipe), is spooled to
-    # a scratch file first.
+    # Without --labels, two passes are needed for the global label set, so
+    # stdin, or a named input that cannot seek (a FIFO, /dev/stdin on a
+    # pipe), is spooled to a scratch file first.
     with _seekable_input(path) as f:
         labels = collect_labels(read_rows(f))
         f.seek(0)

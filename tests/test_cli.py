@@ -183,6 +183,57 @@ class TestRowToolsCli:
         assert proc.returncode == 0, proc.stderr
         assert lines(proc.stdout) == ["1 x"]
 
+    def test_map_with_the_inputs_labels_gives_the_two_pass_output(self):
+        cells = b"1 name N\n1 value V\n2 name M\n3 ref R\n3 value W\n"
+        two_pass = run_tool("map", "num=1", stdin=cells, check=True)
+        one_pass = run_tool("map", "num=1", "--labels", "name,ref,value", stdin=cells, check=True)
+        assert one_pass.stdout == two_pass.stdout
+        reordered = run_tool("map", "--labels=value,ref,name", "num=1", stdin=cells, check=True)
+        assert lines(reordered.stdout) == ["1 V 0 N", "2 0 0 M", "3 W R 0"]
+
+    @pytest.mark.parametrize(
+        "cells, error",
+        [
+            (b"1 name N\n1 ref R\n", "map: line 2: label 'ref' is not in --labels"),
+            (b"1 name N\n2 name M\n2 name O\n", "map: line 3: duplicate cell (2, name)"),
+        ],
+    )
+    def test_map_labels_data_error_is_one_line(self, cells, error):
+        proc = run_tool("map", "num=1", "--labels", "name,value", stdin=cells)
+        assert proc.returncode == 2
+        assert lines(proc.stderr) == [error]
+
+    @pytest.mark.parametrize("labels", ["", "name,,value", "name,value,name", "na me", "name,\t"])
+    def test_map_bad_labels_are_a_usage_error(self, labels):
+        proc = run_tool("map", "num=1", "--labels", labels, stdin=b"1 name N\n")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert len(lines(proc.stderr)) == 1
+        assert proc.stderr.startswith(b"map: ") and b"label" in proc.stderr
+
+    def test_map_with_labels_reads_a_pipe_without_a_spool(self, tmp_path):
+        # Past RLIMIT_FSIZE a file write fails with EFBIG; stdin and stdout
+        # are pipes, so only a spool writes a file.
+        cells = "".join(f"{i} value {i}\n" for i in range(9000)).encode()
+        limit = 16 * 1024
+        assert len(cells) > limit
+
+        def run(*labels):
+            return run_tool(
+                "map", "num=1", *labels, stdin=cells,
+                extra=dict(
+                    env=dict(os.environ, TMPDIR=str(tmp_path)),
+                    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+                ),
+            )
+
+        spooled = run()
+        assert spooled.returncode == 2
+        assert lines(spooled.stderr) == ["map: cannot write: File too large"]
+        streamed = run("--labels", "value")
+        assert streamed.returncode == 0, streamed.stderr
+        assert lines(streamed.stdout) == [f"{i} {i}" for i in range(9000)]
+
     def test_map_rejects_other_key_counts(self):
         proc = run_tool("map", "num=2", stdin=b"")
         assert proc.returncode == 1
@@ -783,11 +834,15 @@ class TestPipelineCli:
         assert out.returncode == 0, out.stderr
         outputs = {p: p.read_bytes() for p in tmp_path.glob("[vc]/*")}
         assert len(outputs) == 3
-        # Every output is smaller than 64 KiB; map's spool of the parse
-        # stage's cells is larger.
+        # The parse stage's last tool writes PARSED_FILE, which is larger
+        # than the limit, so that write fails.
+        limit = 16 * 1024
+        parse = [sys.executable, "-m", "meterpipe", "pipeline", "parse", "--config", str(tmp_path / "cfg")]
+        subprocess.run(parse, check=True)
+        assert (tmp_path / "p" / "PARSED_FILE").stat().st_size > limit
+        (tmp_path / "p" / "PARSED_FILE").unlink()
         scratch = tmp_path / "tmp"
         scratch.mkdir()
-        limit = 64 * 1024
         out = subprocess.run(
             [sys.executable, "-m", "meterpipe", "pipeline", "run", "--config", str(tmp_path / "cfg")],
             capture_output=True,
@@ -797,10 +852,11 @@ class TestPipelineCli:
         assert out.returncode == 2
         assert out.stdout == b""
         assert lines(out.stderr) == [
-            "map: cannot write: File too large",
-            "pipeline: map num=1 exited with status 2",
+            "delr: cannot write: File too large",
+            "pipeline: delr 3 0 exited with status 2",
         ]
         assert {p: p.read_bytes() for p in tmp_path.glob("[vc]/*")} == outputs
+        assert not (tmp_path / "p" / "PARSED_FILE").exists()
         assert not list(tmp_path.rglob(".stage-*"))
         assert list(scratch.iterdir()) == []
 

@@ -42,6 +42,15 @@ class TestSplitRecord:
         # Other control characters are field content, not separators.
         assert split_fields("a\x0bb c") == ["a\x0bb", "c"]
 
+    # Separators, whitespace that is not one, a surrogate-escaped byte (as
+    # read_rows gives a non-UTF-8 byte) and letters.
+    @given(st.text(alphabet=[" ", "\t", "\r", "\x0b", "\xa0", "\udcff", "a", "b"]))
+    @example("")
+    @example(" a  b ")
+    @example("\ta\t")
+    def test_the_fast_path_splits_as_the_reference_does(self, line):
+        assert split_fields(line) == [t for t in line.replace("\t", " ").split(" ") if t]
+
     @given(st.text(alphabet=st.characters(blacklist_characters="\n")))
     def test_normalize_then_split_is_idempotent(self, line):
         fields = split_fields(line)

@@ -206,6 +206,34 @@ class TestGoldenStages:
         assert run_all() == run_all()
 
 
+class TestFixedColumns:
+    """The parse stage's map takes filter-tags' labels, so PARSED_FILE's
+    columns do not depend on the labels the corpus holds."""
+
+    def run_on(self, tmp_path, master, document):
+        readings = tmp_path / "readings-edited"
+        readings.mkdir()
+        (readings / "a.xml").write_text(document)
+        config = make_pipeline_config(tmp_path, readings, master)
+        run_single(config, keep_intermediates=True)
+        return config
+
+    def test_a_corpus_without_readings_runs_to_empty_outputs(self, tmp_path, sample_dir):
+        bare = re.sub(r"\s*<Readings>.*?</Readings>", "", SAMPLE_XML, flags=re.S)
+        config = self.run_on(tmp_path, sample_dir[1], bare)
+        for path in (config.parsed_file, config.valid_file, config.invalid_file,
+                     config.aggregate_file):
+            assert Path(path).read_bytes() == b""
+
+    def test_a_label_missing_everywhere_is_a_column_of_zeros(self, tmp_path, sample_dir):
+        untyped = re.sub(r"\s*<ReadingType [^>]*/>", "", SAMPLE_XML)
+        config = self.run_on(tmp_path, sample_dir[1], untyped)
+        zeroed = [re.sub(r" \S+", " 0", row, count=1) for row in SAMPLE_PARSED_ROWS]
+        assert read_lines(config.parsed_file) == zeroed
+        assert read_lines(config.invalid_file) == zeroed
+        assert read_lines(config.valid_file) == []
+
+
 class TestStageErrors:
     def test_empty_directory_is_a_data_error(self, tmp_path, sample_dir):
         _, master = sample_dir

@@ -9,6 +9,7 @@ from meterpipe.tabular import (
     DEFAULT_TAGS,
     delete_fields,
     delete_rows,
+    emit_pivot,
     filter_tags,
     group_number,
     pivot,
@@ -207,6 +208,32 @@ class TestPivot:
     def test_cell_without_value_is_a_data_error(self):
         with pytest.raises(DataError, match="line 2"):
             list(pivot(["1 name A", "1 name"]))
+
+    def test_fixed_labels_stream_in_the_given_order(self):
+        cells = ["1 name N", "1 value V", "2 name M"]
+        assert list(emit_pivot(iter(cells), ["value", "name", "ref"])) == [
+            "1 V N 0",
+            "2 0 M 0",
+        ]
+
+    def test_a_label_outside_the_fixed_labels_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"^line 2: label 'ref' is not in --labels$"):
+            list(emit_pivot(iter(["1 name A", "1 ref R"]), ["name"]))
+
+    def test_fixed_labels_check_duplicate_cells_too(self):
+        with pytest.raises(DataError, match=r"^line 3: duplicate cell \(1, name\)$"):
+            list(emit_pivot(iter(["1 name A", "1 value V", "1 name B"]), ["name", "value"]))
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=1, unique=True),
+            max_size=12,
+        )
+    )
+    def test_fixed_labels_equal_to_the_inputs_pivot_as_two_passes_do(self, groups):
+        cells = [f"k{key} {label} v{key}{label}" for key, g in enumerate(groups) for label in g]
+        labels = sorted({label for g in groups for label in g})
+        assert list(emit_pivot(iter(cells), labels)) == list(pivot(cells))
 
     def test_column_layout_ignores_group_order(self):
         rng = random.Random(3)
