@@ -27,7 +27,7 @@ _TOOLS = {
 }
 
 # The standard modules a tool imports on first use, on its normal path: sm2
-# sums through core._exact_context (decimal).  fork_stage imports them just
+# sums through core.exact_context (decimal).  fork_stage imports them just
 # before it forks that tool, so the tool inherits them and no later stage
 # pays for them again.  The parse stage's map takes --labels and runs in one
 # pass, so it needs no spool and no tempfile (core.scratch_file).

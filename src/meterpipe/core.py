@@ -12,7 +12,12 @@ needs (tempfile, decimal) are imported on first use; in a pipeline run the
 orchestrator has imported them before it forks the tools that use them.
 """
 
+import codecs
+import errno
+import io
+import os
 import sys
+from itertools import chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,7 +125,7 @@ def resolve_field(spec, nfields, lineno=None):
 _exact = None
 
 
-def _exact_context():
+def exact_context():
     """The context every decimal is made and worked in: precision and
     exponents at their limits, and rounding an error, so each result is
     exact.  Made on first use, so only the tools that sum import decimal;
@@ -145,7 +150,7 @@ def parse_decimal(token, lineno=None):
     body = token[1:] if token.startswith(("-", "+")) else token
     intpart, dot, frac = body.partition(".")
     if _is_digits(intpart) and (_is_digits(frac) or not dot):
-        return _exact_context().create_decimal(token)
+        return exact_context().create_decimal(token)
     where = "" if lineno is None else f"line {lineno}: "
     raise DataError(f"{where}malformed decimal value {token!r}")
 
@@ -158,13 +163,13 @@ def format_decimal(value):
 def decimal_add(a, b):
     """Exact sum; the result scale is the larger of the two input scales,
     and a zero sum is unsigned."""
-    total = _exact_context().add(a, b)
+    total = exact_context().add(a, b)
     return total if total else total.copy_abs()
 
 
 def decimal_mul(a, b):
     """Exact product; scales add, and a zero product is unsigned."""
-    product = _exact_context().multiply(a, b)
+    product = exact_context().multiply(a, b)
     return product if product else product.copy_abs()
 
 
@@ -207,48 +212,67 @@ def read_config(path, keys):
 # arbitrary bytes round-tripping so pass-through streams stay verbatim.
 _TEXT_KW = dict(encoding="utf-8", errors="surrogateescape", newline="\n")
 
+# Input is read this many bytes at a time, one read per block, so rows from
+# a pipe flow on as they arrive.  Larger blocks add to every tool's peak RSS.
+_BLOCK_SIZE = io.DEFAULT_BUFFER_SIZE
+
 
 def open_text(file, mode="r"):
     """Open a path or a file descriptor as a tool text stream."""
     return open(file, mode, **_TEXT_KW)
 
 
-def open_input(path, mode, **kwargs):
-    """Open a named file, or stdin for ``-``, as ``open(path, mode,
-    **kwargs)`` would.  Closing stdin's stream leaves fd 0 open, so a later
-    ``-`` reads on from there."""
-    if path == "-":
-        return open(sys.stdin.fileno(), mode, closefd=False, **kwargs)
+def open_input(path):
+    """Open a named file, or fd 0 for ``-``, for unbuffered binary reads.
+    Closing fd 0's file object leaves fd 0 open, so a later ``-`` reads on
+    from there.  A file that cannot be opened, or a closed fd 0, is a
+    UsageError naming it."""
     try:
-        return open(path, mode, **kwargs)
+        if path == "-":
+            return open(0, "rb", buffering=0, closefd=False)
+        return open(path, "rb", buffering=0)
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
-
-
-def open_text_input(path):
-    """Open a named file, or stdin for ``-``, as a tool text stream."""
-    return open_input(path, "r", **_TEXT_KW)
-
-
-def read_rows(stream):
-    """Yield lines without the trailing LF; a single trailing CR is dropped."""
-    for line in stream:
-        if line.endswith("\n"):
-            line = line[:-1]
-        if line.endswith("\r"):
-            line = line[:-1]
-        yield line
 
 
 def input_rows(path):
     """The rows of a named file, or of stdin for ``-``.  The file is opened
     at once, so a missing input fails before any output is opened."""
-    return _closing_rows(open_text_input(path))
+    return file_rows(open_input(path))
 
 
-def _closing_rows(stream):
-    with stream:
-        yield from read_rows(stream)
+def file_rows(source):
+    """The rows of an unbuffered binary file from where it stands, without
+    their LF; a single trailing CR is dropped.  ``source`` is read a block
+    at a time, and closed at the end."""
+    return chain.from_iterable(_row_blocks(source))
+
+
+def _row_blocks(source):
+    """Yield a list of the rows that end in each block read from ``source``,
+    then the last row if it has no LF."""
+    with source:
+        read = source.read
+        size = _BLOCK_SIZE
+        decode = codecs.getincrementaldecoder(_TEXT_KW["encoding"])(_TEXT_KW["errors"]).decode
+        head = []  # the pieces of a row whose LF has not been read yet
+        while block := read(size):
+            text = decode(block)
+            if "\n" not in text:
+                head.append(text)
+                continue
+            if head:
+                head.append(text)
+                text = "".join(head)
+            rows = text.split("\n")
+            head = [rows.pop()]
+            if "\r" in text:
+                rows = [row[:-1] if row[-1:] == "\r" else row for row in rows]
+            yield rows
+        head.append(decode(b"", True))
+        last = "".join(head)
+        if last:
+            yield [last[:-1] if last[-1] == "\r" else last]
 
 
 def row_bytes(text):
@@ -267,7 +291,10 @@ def scratch_file():
 
 
 def text_stdout():
-    """``sys.stdout``, set up as a block-buffered tool text stream."""
+    """``sys.stdout``, set up as a block-buffered tool text stream.  If fd 1
+    was closed when the tool started, the write error comes at once."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     sys.stdout.reconfigure(line_buffering=False, write_through=False, **_TEXT_KW)
     return sys.stdout
 
@@ -286,7 +313,8 @@ def run_tool(prog, body):
         # Downstream closed early (EPIPE), or a write to stdout or a spool
         # failed (EFBIG, ENOSPC, EIO); the rows still buffered go too.
         try:
-            sys.stdout.close()
+            if sys.stdout is not None:
+                sys.stdout.close()
         except OSError:
             pass
         if isinstance(exc, BrokenPipeError):
@@ -306,7 +334,8 @@ def optional_file(args, usage):
 
 def _split_options(argv, names, usage):
     """Separate the named ``--name v`` / ``--name=v`` options from the
-    positional arguments."""
+    positional arguments.  An option given twice is a UsageError naming
+    it, so neither value is silently dropped."""
     args, opts = [], {}
     rest = iter(argv)
     for arg in rest:
@@ -314,6 +343,8 @@ def _split_options(argv, names, usage):
         if not arg.startswith("--") or name not in names:
             args.append(arg)
             continue
+        if name in opts:
+            raise UsageError(f"repeated option --{name}\n{usage}")
         if not eq:
             value = next(rest, None)
             if value is None:

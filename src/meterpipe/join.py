@@ -49,14 +49,20 @@ def hash_join(key_spec, master, rows):
     Matched rows are re-joined fields with the payload spliced in after
     the key; unmatched rows are the original line, untouched.
     """
+    width = None
     for lineno, line in enumerate(rows, 1):
-        fields = split_fields(line)
-        pos = resolve_field(key_spec, len(fields), lineno)
+        fields = line.split(" ")
+        if "" in fields or "\t" in line:  # split_fields' own test, inline
+            fields = split_fields(line)
+        if len(fields) != width:  # the key is resolved once per row width
+            pos = resolve_field(key_spec, len(fields), lineno)
+            width = len(fields)
         payload = master.get(fields[pos - 1])
         if payload is None:
             yield False, line
         else:
-            yield True, " ".join(fields[:pos] + payload + fields[pos:])
+            fields[pos:pos] = payload
+            yield True, " ".join(fields)
 
 
 def _open_reject(target):

@@ -7,7 +7,7 @@ import sys
 from .core import (
     DataError,
     UsageError,
-    decimal_add,
+    exact_context,
     format_decimal,
     input_rows,
     optional_file,
@@ -29,10 +29,15 @@ _PAIR_BYTES = sys.getsizeof((None, None)) + 8
 
 
 def _key_of(spec, line, lineno):
-    fields = split_fields(line)
-    pos = resolve_field(spec, len(fields), lineno)
+    fields = line.split(" ")
+    if "" in fields or "\t" in line:  # split_fields' own test, inline
+        fields = split_fields(line)
+    try:
+        key = fields[spec - 1 if spec > 0 else spec]  # NF-k is a Python index
+    except IndexError:
+        resolve_field(spec, len(fields), lineno)  # raises the DataError
     # Compare as bytes so ordering is bytewise regardless of content.
-    return row_bytes(fields[pos - 1])
+    return row_bytes(key)
 
 
 def merge_sort_rows(key_spec, rows, mem_bytes=DEFAULT_MEM_BYTES):
@@ -102,37 +107,55 @@ def _spill(run):
 def _read_run(f, key_spec):
     for line in f:
         # Drop only the LF the spill wrote: a CR left at the end of a row
-        # belongs to the row (read_rows would strip it).
+        # belongs to the row (input_rows would strip it).
         line = line[:-1]
         yield _key_of(key_spec, line, None), line
 
 
 def sum_groups(k_from, k_to, v_from, v_to, rows):
     """Collapse consecutive runs of identical key tuples into one row of
-    key fields plus exact decimal sums of the value columns."""
-    current = None
-    totals = None
+    key fields plus exact decimal sums of the value columns.  A sum is
+    exact, at the largest scale of its addends, and a zero sum is
+    unsigned, as ``decimal_add`` gives it; a group of one row keeps its
+    value as written."""
+    exact = exact_context()
+    make, add = exact.create_decimal, exact.add
+    current = totals = None
+    summed = False  # whether the current group's totals are sums
     for lineno, line in enumerate(rows, 1):
-        fields = split_fields(line)
+        fields = line.split(" ")
+        if "" in fields or "\t" in line:  # split_fields' own test, inline
+            fields = split_fields(line)
         if len(fields) < v_to:
             raise DataError(
                 f"line {lineno}: row has {len(fields)} fields, need {v_to}"
             )
-        key = tuple(fields[k_from - 1 : k_to])
-        values = [parse_decimal(tok, lineno) for tok in fields[v_from - 1 : v_to]]
+        values = []
+        for tok in fields[v_from - 1 : v_to]:
+            # parse_decimal's grammar, [+-]digits[.digits] in ASCII, checked
+            # inline; parse_decimal itself raises the error.
+            body = tok[1:] if tok[0] in "+-" else tok
+            digits = body.replace(".", "", 1)
+            if tok.isascii() and digits.isdigit() and body[0] != "." and body[-1] != ".":
+                values.append(make(tok))
+            else:
+                values.append(parse_decimal(tok, lineno))
+        key = fields[k_from - 1 : k_to]
         if key == current:
-            totals = [decimal_add(t, v) for t, v in zip(totals, values)]
+            totals = [add(t, v) for t, v in zip(totals, values)]
+            summed = True
         else:
             if current is not None:
-                yield _group_row(current, totals)
-            current = key
-            totals = values
+                yield _group_row(current, totals, summed)
+            current, totals, summed = key, values, False
     if current is not None:
-        yield _group_row(current, totals)
+        yield _group_row(current, totals, summed)
 
 
-def _group_row(key, totals):
-    return " ".join(list(key) + [format_decimal(t) for t in totals])
+def _group_row(key, totals, summed):
+    if summed:  # a zero sum is unsigned, as decimal_add gives it
+        totals = [t if t else t.copy_abs() for t in totals]
+    return " ".join(key + [format_decimal(t) for t in totals])
 
 
 # --- CLI wrappers -----------------------------------------------------------

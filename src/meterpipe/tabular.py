@@ -4,12 +4,11 @@ group-number and map (the key/label/value pivot)."""
 from .core import (
     DataError,
     UsageError,
-    field_position,
+    file_rows,
     input_rows,
-    open_text_input,
+    open_input,
     optional_file,
     parse_fieldspec,
-    read_rows,
     resolve_field,
     scratch_file,
     split_fields,
@@ -19,21 +18,36 @@ from .core import (
 DEFAULT_TAGS = frozenset({"name", "timeStamp", "value", "ref"})
 
 
+# Each core splits a row with one line.split(" ") and calls split_fields
+# only when that left an empty field or the row holds a tab, the test
+# split_fields makes itself; the call would cost more than the split.
+
+
 def select_fields(specs, rows):
     """self: keep exactly the selected fields, in spec order."""
+    width = None
     for lineno, line in enumerate(rows, 1):
-        fields = split_fields(line)
-        n = len(fields)
-        yield " ".join(fields[resolve_field(s, n, lineno) - 1] for s in specs)
+        fields = line.split(" ")
+        if "" in fields or "\t" in line:
+            fields = split_fields(line)
+        if len(fields) != width:  # positions are resolved once per row width
+            picks = [resolve_field(s, len(fields), lineno) - 1 for s in specs]
+            width = len(fields)
+        yield " ".join([fields[i] for i in picks])
 
 
 def delete_fields(specs, rows):
     """delf: drop the selected fields, keeping the rest in original order."""
+    width = None
     for lineno, line in enumerate(rows, 1):
-        fields = split_fields(line)
-        n = len(fields)
-        drop = {resolve_field(s, n, lineno) for s in specs}
-        yield " ".join(f for pos, f in enumerate(fields, 1) if pos not in drop)
+        fields = line.split(" ")
+        if "" in fields or "\t" in line:
+            fields = split_fields(line)
+        if len(fields) != width:
+            drop = {resolve_field(s, len(fields), lineno) - 1 for s in specs}
+            keep = [i for i in range(len(fields)) if i not in drop]
+            width = len(fields)
+        yield " ".join([fields[i] for i in keep])
 
 
 def delete_rows(spec, literal, rows):
@@ -41,19 +55,33 @@ def delete_rows(spec, literal, rows):
 
     Rows too short to resolve the spec cannot match and are kept.
     """
+    index = spec - 1 if spec > 0 else spec  # NF-k is already a Python index
     for line in rows:
-        fields = split_fields(line)
-        pos = field_position(spec, len(fields))
-        if pos and fields[pos - 1] == literal:
-            continue
+        fields = line.split(" ")
+        if "" in fields or "\t" in line:
+            fields = split_fields(line)
+        try:
+            if fields[index] == literal:
+                continue
+        except IndexError:
+            pass
         yield line
+
+
+def _first_field(line):
+    """The first field of a row that starts with a space or a tab, or
+    whose first run of non-spaces holds one."""
+    fields = split_fields(line)
+    return fields[0] if fields else ""
 
 
 def filter_tags(allowed, rows):
     """Keep rows whose first field is in the allowed tag set."""
     for line in rows:
-        fields = split_fields(line)
-        if fields and fields[0] in allowed:
+        tag = line.partition(" ")[0]
+        if not tag or "\t" in tag:
+            tag = _first_field(line)
+        if tag in allowed:
             yield line
 
 
@@ -68,8 +96,9 @@ def group_number(rows):
     count = 0
     remembered = None
     for lineno, line in enumerate(rows, 1):
-        fields = split_fields(line)
-        tag = fields[0] if fields else ""
+        tag = line.partition(" ")[0]
+        if not tag or "\t" in tag:
+            tag = _first_field(line)
         if tag == "name":
             remembered = line
             count += 1
@@ -88,7 +117,9 @@ MISSING_CELL = "0"
 
 
 def _parse_cell(line, lineno):
-    fields = split_fields(line)
+    fields = line.split(" ")
+    if "" in fields or "\t" in line:
+        fields = split_fields(line)
     if len(fields) < 3:
         raise DataError(f"line {lineno}: pivot cell needs key, label and value")
     return fields[0], fields[1], " ".join(fields[2:])
@@ -238,19 +269,23 @@ def _pivot_file(path):
     # stdin, or a named input that cannot seek (a FIFO, /dev/stdin on a
     # pipe), is spooled to a scratch file first.
     with _seekable_input(path) as f:
-        labels = collect_labels(read_rows(f))
-        f.seek(0)
-        yield from emit_pivot(read_rows(f), labels)
+        labels = collect_labels(_rows_from_start(f))
+        yield from emit_pivot(_rows_from_start(f), labels)
+
+
+def _rows_from_start(f):
+    """One pass over the rows of ``f``; ``f`` stays open for the next."""
+    f.seek(0)
+    return file_rows(open(f.fileno(), "rb", buffering=0, closefd=False))
 
 
 def _seekable_input(path):
-    f = open_text_input(path)
+    f = open_input(path)
     if path != "-" and f.seekable():
         return f
     spool = scratch_file()
     import shutil  # already loaded by tempfile, which scratch_file imports
 
     with f:
-        shutil.copyfileobj(f.buffer, spool.buffer)
-    spool.seek(0)
+        shutil.copyfileobj(f, spool.buffer)
     return spool

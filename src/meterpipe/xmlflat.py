@@ -200,7 +200,7 @@ def main(argv=None):
         # come.  The bytes are read unbuffered: a buffered or text stream
         # costs more to set up than a small corpus file takes to read.
         for path in args[1:] or ["-"]:
-            with open_input(path, "rb", buffering=0) as source:
+            with open_input(path) as source:
                 read = source.read
                 try:
                     flatten_stream(lambda: read(_CHUNK_SIZE), target, emit)

@@ -513,6 +513,40 @@ class TestStreamToolContract:
         assert lines(proc.stderr) == [f"{tool}: cannot write: File too large"]
 
 
+    @pytest.mark.parametrize(
+        "tool, args",
+        [
+            ("map", ["num=1", "--labels", "x", "--labels=x,y"]),
+            ("msort", ["--mem", "100", "key=1", "--mem", "200"]),
+            ("cjoin1", ["--reject", "R1", "--reject", "R2", "key=2", "MASTER"]),
+        ],
+    )
+    def test_a_repeated_option_is_a_usage_error_naming_it(self, tool, args, leading, tmp_path):
+        places = {"MASTER": leading("cjoin1")[1], "R1": tmp_path / "r1", "R2": tmp_path / "r2"}
+        proc = run_tool(tool, *(str(places.get(a, a)) for a in args), stdin=b"K k 1\n")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        option = {"map": "labels", "msort": "mem", "cjoin1": "reject"}[tool]
+        assert lines(proc.stderr)[0] == f"{tool}: repeated option --{option}"
+        assert lines(proc.stderr)[1].startswith(f"usage: {tool} ")
+        assert not places["R1"].exists() and not places["R2"].exists()
+
+    @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
+    def test_a_closed_stdin_is_one_line_naming_dash(self, tool, leading):
+        proc = run_tool(tool, *leading(tool), extra=dict(preexec_fn=lambda: os.close(0)))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert lines(proc.stderr) == [f"{tool}: cannot open -: Bad file descriptor"]
+
+    @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
+    def test_a_closed_stdout_is_one_cannot_write_line(self, tool, leading, tmp_path):
+        one = tmp_path / "one"
+        one.write_text(SAMPLE_XML if tool == "xmldir" else "K k 1\n")
+        proc = run_tool(tool, *leading(tool), str(one), extra=dict(preexec_fn=lambda: os.close(1)))
+        assert proc.returncode == 2
+        assert lines(proc.stderr) == [f"{tool}: cannot write: Bad file descriptor"]
+
+
 class TestDispatcher:
     def test_unknown_tool(self):
         proc = subprocess.run(

@@ -1,10 +1,14 @@
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from meterpipe import core
 from meterpipe.core import (
     DataError,
     UsageError,
@@ -13,9 +17,9 @@ from meterpipe.core import (
     field_position,
     format_decimal,
     format_fieldspec,
+    input_rows,
     parse_decimal,
     parse_fieldspec,
-    read_rows,
     resolve_field,
     split_fields,
 )
@@ -43,7 +47,7 @@ class TestSplitRecord:
         assert split_fields("a\x0bb c") == ["a\x0bb", "c"]
 
     # Separators, whitespace that is not one, a surrogate-escaped byte (as
-    # read_rows gives a non-UTF-8 byte) and letters.
+    # input_rows gives a non-UTF-8 byte) and letters.
     @given(st.text(alphabet=[" ", "\t", "\r", "\x0b", "\xa0", "\udcff", "a", "b"]))
     @example("")
     @example(" a  b ")
@@ -274,12 +278,67 @@ class TestSumTextMatchesTheFractionOracle:
         assert format_decimal(total) == fraction_oracle_sum(tokens)
 
 
-class TestReadRows:
+def text_stream_rows(path):
+    """The rows as the per-row reader that ``input_rows`` replaced read them:
+    a text stream (UTF-8, surrogateescape, LF only), one trailing LF and
+    then one trailing CR dropped from each line."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
+        for line in f:
+            if line.endswith("\n"):
+                line = line[:-1]
+            if line.endswith("\r"):
+                line = line[:-1]
+            rows.append(line)
+    return rows
+
+
+# Pieces of input bytes: row and CR ends, spaces, letters, whole multibyte
+# characters, and bytes that are not UTF-8 (a lone 0xff, and the heads of a
+# 3-byte and a 2-byte character with no tail).
+_BYTE_PIECES = [
+    b"\n", b"\r", b"\r\n", b"a", b" ", "\u00e9".encode(), "\u20ac".encode(),
+    "\U0001f600".encode(), b"\xff", b"\xe2\x82", b"\xc3",
+]
+
+
+class TestInputRows:
     def test_strips_newline_and_one_carriage_return(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_bytes(b"plain\ncrlf\r\ndouble\r\r\nlast")
-        with open(p, "r", encoding="utf-8", newline="\n") as f:
-            assert list(read_rows(f)) == ["plain", "crlf", "double\r", "last"]
+        assert list(input_rows(str(p))) == ["plain", "crlf", "double\r", "last"]
+
+    @given(
+        data=st.binary(max_size=64)
+        | st.lists(st.sampled_from(_BYTE_PIECES), max_size=40).map(b"".join),
+        block=st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=400)
+    @example(data=b"ab\r\ncd\n", block=3)  # "\r\n" across two blocks
+    @example(data="x\u20acy\n".encode(), block=2)  # a character across two blocks
+    @example(data=b"a\xff\nb\xe2\x82", block=2)  # not UTF-8, also at the end
+    @example(data=b"a" * 50 + b"\nb\n", block=4)  # a row longer than a block
+    @example(data=b"a\nb", block=3)  # no final LF
+    @example(data=b"a\r", block=1)  # a final CR with no LF
+    @example(data=b"", block=1)  # an empty file
+    def test_blocks_give_the_rows_a_text_stream_gives(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.getbasetemp() / "input_rows"
+        path.write_bytes(data)
+        with mock.patch.object(core, "_BLOCK_SIZE", block):
+            assert list(input_rows(str(path))) == text_stream_rows(path)
+
+    def test_dash_leaves_fd_0_open_for_a_later_dash(self, tmp_path):
+        path = tmp_path / "rows"
+        path.write_bytes(b"a b\nc\r\n")
+        code = (
+            "import os; from meterpipe.core import input_rows; "
+            "first = list(input_rows('-')); os.lseek(0, 0, os.SEEK_SET); "
+            "print(first == list(input_rows('-')) == ['a b', 'c'])"
+        )
+        with open(path, "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-c", code], stdin=stdin, capture_output=True)
+        assert proc.stderr == b""
+        assert proc.stdout == b"True\n"
 
 
 # The regular expressions core parsed with before its parsers became plain
@@ -389,7 +448,7 @@ class TestParsersMatchTheOldRegexes:
     @pytest.mark.parametrize("text", ["1\n", "+1\n"])
     def test_one_trailing_newline_is_the_known_difference(self, text):
         # The old "$" also matched just before a final "\n".  Rows never
-        # hold a "\n" (read_rows strips it), so only a spec or a value given
+        # hold a "\n" (input_rows strips it), so only a spec or a value given
         # as a command-line argument is affected: it is now rejected.
         assert old_parse_decimal(text) is not None
         with pytest.raises(DataError):
