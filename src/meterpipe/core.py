@@ -4,8 +4,10 @@ Every tool in the suite reads whitespace-separated text rows from named
 files or stdin, writes rows to stdout and diagnostics to stderr, and
 exits 0 on success, 1 on usage errors, 2 on data errors.
 
-In a pipeline run every tool is a fork of the orchestrator and inherits
-its imports.  A tool started alone (``python -m meterpipe <tool>``) imports
+In a pipeline run every tool runs in a fork of the orchestrator and
+inherits its imports: a tool alone, or a run of row tools whose cores
+``compose`` chains as generators in one fork, each reporting its errors as
+it would alone (``run_segment``).  A tool started alone (``python -m meterpipe <tool>``) imports
 this module and its own, so they stay deliberately light to import: no
 argparse, no dataclasses, no re.  The heavier standard modules a tool
 needs (tempfile, decimal) are imported on first use; in a pipeline run the
@@ -237,8 +239,22 @@ def open_input(path):
 
 def input_rows(path):
     """The rows of a named file, or of stdin for ``-``.  The file is opened
-    at once, so a missing input fails before any output is opened."""
+    at once, so a missing input fails before any output is opened.  While
+    ``compose`` builds a core, ``-`` is the rows it was given."""
+    if _composing is not None:
+        return _composing.stdin(path)
     return file_rows(open_input(path))
+
+
+def stdin_rows():
+    """The rows of stdin, as ``input_rows("-")`` gives them, but fd 0 is
+    opened when the first row is asked for: a core composed in one process
+    reads the stdin of the fork that runs it."""
+    return chain.from_iterable(_stdin_blocks())
+
+
+def _stdin_blocks():
+    yield from _row_blocks(open_input("-"))
 
 
 def file_rows(source):
@@ -307,7 +323,7 @@ def run_tool(prog, body):
     try:
         body()
     except (UsageError, DataError) as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
+        _diagnose(f"{prog}: {exc}")
         return exc.exit_code
     except OSError as exc:
         # Downstream closed early (EPIPE), or a write to stdout or a spool
@@ -319,9 +335,19 @@ def run_tool(prog, body):
             pass
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK  # die quietly like any pipeline filter
-        print(f"{prog}: {exc.filename or 'cannot write'}: {exc.strerror}", file=sys.stderr)
+        _diagnose(f"{prog}: {exc.filename or 'cannot write'}: {exc.strerror}")
         return EXIT_DATA
     return EXIT_OK
+
+
+def _diagnose(line):
+    """Write a diagnostic line to stderr.  If stderr cannot take it (fd 2
+    is closed), the line is dropped and the exit code alone tells."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 def optional_file(args, usage):
@@ -361,20 +387,101 @@ def stream_tool(prog, usage, argv, rows_of, options=()):
     in ``options`` is taken as ``--name v`` or ``--name=v``.  ``rows_of``
     gets the positional arguments, plus the options given as keywords, and
     returns the rows, which go to a buffered stdout flushed at the end.
+    While ``compose`` builds a core, the rows are handed to it instead.
     """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in ("-h", "--help"):
-        print(usage)
+        if _composing is None:
+            print(usage)
+        return EXIT_OK
+    if _composing is not None:
+        args, opts = _split_options(argv, options, usage)
+        _composing.core = prog, rows_of(args, **opts)
         return EXIT_OK
 
     def body():
         args, opts = _split_options(argv, options, usage)
         out = text_stdout()
-        write = out.write
-        try:
-            for row in rows_of(args, **opts):
-                write(row + "\n")
-        finally:
-            out.flush()
+        _write_rows(out, rows_of(args, **opts))
 
     return run_tool(prog, body)
+
+
+def _write_rows(out, rows):
+    write = out.write
+    try:
+        for row in rows:
+            write(row + "\n")
+    finally:
+        out.flush()
+
+
+# --- row tools composed in one process ----------------------------------------
+
+
+class _Composer:
+    """What ``compose`` learns while a tool's main builds its core."""
+
+    def __init__(self, rows):
+        self.rows = rows  # what "-" reads, until the core takes it
+        self.core = None  # (prog, rows) from stream_tool
+
+    def stdin(self, path):
+        if path != "-" or self.rows is None:  # a named file, or "-" twice
+            raise UsageError(f"cannot compose a core that reads {path}")
+        rows, self.rows = self.rows, None
+        return rows
+
+
+_composing = None  # the _Composer while compose() runs a tool's main
+
+
+def compose(main, argv, rows):
+    """Build, but do not start, the core that ``main(argv)`` runs as a
+    stream tool, reading ``rows`` as its stdin: ``(prog, core)``, where the
+    core is the generator of the rows the tool would write.  None when the
+    command has no such core: it reads a named file, or reads stdin other
+    than through ``input_rows``, or asks for its usage, or fails to start;
+    as a process of its own, it reports that itself."""
+    global _composing
+    _composing = composer = _Composer(rows)
+    try:
+        main(argv)
+    except Exception:
+        return None
+    finally:
+        _composing = None
+    prog, core = composer.core or (None, None)
+    if composer.rows is not None or getattr(core, "gi_frame", None) is None:
+        return None
+    return prog, core
+
+
+def run_segment(cores, failed):
+    """Run composed cores, each reading the one before it, as one tool: the
+    last one's rows go to stdout under the CLI contract, and the exit code
+    is returned.  An error is reported as the core that raised it reports
+    it as a process of its own.  That core is the innermost one whose
+    generator frame is on the traceback, so no core is wrapped and nothing
+    is spent per row; when none is, the error is a failed write, and
+    belongs to the last core, whose output it is.  ``failed`` gets that
+    core's index in ``cores`` before the error is reported."""
+    frames = [core.gi_frame for _, core in cores]
+    try:
+        _write_rows(text_stdout(), cores[-1][1])
+    except BaseException as exc:
+        error = exc
+    else:
+        return EXIT_OK
+    index = len(cores) - 1
+    tb = error.__traceback__
+    while tb is not None:
+        if tb.tb_frame in frames:
+            index = frames.index(tb.tb_frame)
+        tb = tb.tb_next
+    failed(index)
+
+    def reraise():
+        raise error
+
+    return run_tool(cores[index][0], reraise)

@@ -3,9 +3,11 @@
 Stage 1 (parse) flattens every XML file into one tabular row per reading,
 stage 2 (validate) splits rows into valid and invalid by reading-type
 code, stage 3 (aggregate) sums values per reading type.  Stages exchange
-data through materialized files and run their tools as OS pipelines, so
-the tools execute concurrently.  Outputs are written to a temp file and
-renamed, leaving no partial files behind on failure.
+data through materialized files.  Each stage runs as an OS pipeline of
+forked processes, which execute concurrently: its first tool alone, then
+each run of row tools chained in one process, and each other tool alone.
+Outputs are written to a temp file and renamed, leaving no partial files
+behind on failure.
 """
 
 import argparse
@@ -137,23 +139,25 @@ class StageError(DataError):
 def _run_stage(commands, out_paths, feed_paths=None):
     """Run commands as one OS pipeline and publish ``out_paths`` atomically.
 
-    Each tool is a fork of this process (``meterpipe.__main__.fork_stage``),
-    so this process must have one thread: ``fork`` copies only the calling
-    one.  Each output is written to a temp file beside it: the last
+    Each tool runs in a fork of this process, alone or with the other row
+    tools of its run (``meterpipe.__main__.fork_stage``), so this process
+    must have one thread: ``fork`` copies only the calling one.  Each output is written to a temp file beside it: the last
     command's stdout goes to the first one, and an argument equal to an
     output path names that output's temp file instead (cjoin1's
     ``--reject``).  ``feed_paths`` become the first command's trailing
     arguments, so it opens them itself; it reads /dev/null as stdin.  The
-    tools are reaped in command order, so their CPU time and peak RSS count
-    among this process's children (``RUSAGE_CHILDREN``) when the stage
-    ends.  Every output is renamed into place, with the mode a shell
-    redirection would give it, only after every tool exits 0.  Otherwise,
+    children are reaped in command order, so their CPU time and peak RSS
+    count among this process's children (``RUSAGE_CHILDREN``) when the
+    stage ends.  A child that exits nonzero is a StageError naming the
+    command that failed in it.  Every output is renamed into place, with
+    the mode a shell redirection would give it, only after every child
+    exits 0.  Otherwise,
     or on any exception, a signal that ``run_cli`` raises as one included,
     every tool not yet reaped gets SIGTERM and is reaped, and every temp
     file is removed.
     """
     tmps = []
-    pids = []  # the tools not yet reaped
+    pids = []  # the children not yet reaped
     try:
         # A signal that lands as a temp file is made, or a tool is forked,
         # would leave it unlisted.
@@ -172,7 +176,7 @@ def _run_stage(commands, out_paths, feed_paths=None):
             # A path that starts with "-" would read as an option, or as stdin.
             paths = map(os.fspath, feed_paths or ())
             argvs[0] += (os.path.join(os.curdir, p) if p.startswith("-") else p for p in paths)
-            fork_stage(argvs, tmps[0], pids)
+            failed_command = fork_stage(argvs, tmps[0], pids)
         codes = []
         while pids:
             # Wait without reaping: until it is reaped, the pid cannot be
@@ -180,8 +184,9 @@ def _run_stage(commands, out_paths, feed_paths=None):
             os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
             with _signals_held():
                 codes.append(os.waitstatus_to_exitcode(os.wait4(pids.pop(0), 0)[1]))
-        for command, code in zip(commands, codes):
+        for child, code in enumerate(codes):
             if code != 0:
+                command = commands[failed_command(child)]
                 raise StageError(f"{' '.join(command)} exited with status {code}")
     except BaseException:
         with _signals_held():  # before the temp files go, which tools may open

@@ -538,6 +538,13 @@ class TestStreamToolContract:
         assert proc.stdout == b""
         assert lines(proc.stderr) == [f"{tool}: cannot open -: Bad file descriptor"]
 
+    @pytest.mark.parametrize("args, code", [(["3"], 2), (["0"], 1)])
+    def test_a_closed_stderr_keeps_the_exit_code(self, args, code):
+        # The diagnostic cannot be written; the exit code still tells.
+        proc = run_tool("self", *args, stdin=b"a b\n", extra=dict(preexec_fn=lambda: os.close(2)))
+        assert proc.returncode == code
+        assert proc.stdout == b""
+
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
     def test_a_closed_stdout_is_one_cannot_write_line(self, tool, leading, tmp_path):
         one = tmp_path / "one"
