@@ -14,7 +14,7 @@ import sys
 from functools import partial
 from itertools import accumulate, groupby
 
-from .core import compose, run_segment, stdin_rows
+from .core import compose, run_segment, stdin_fields
 
 _TOOLS = {
     "xmldir": ("meterpipe.xmlflat", "main"),
@@ -132,7 +132,7 @@ def _segments(commands):
     for argv in commands[1:]:
         core = None
         if argv[0] in _ROW_TOOLS:
-            upstream = cores[-1][1] if cores[-1] else stdin_rows()
+            upstream = cores[-1][1] if cores[-1] else stdin_fields()
             core = compose(_tool(argv[0]), argv[1:], upstream)
         cores.append(core)
     segments = []

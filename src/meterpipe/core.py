@@ -7,9 +7,11 @@ exits 0 on success, 1 on usage errors, 2 on data errors.
 In a pipeline run every tool runs in a fork of the orchestrator and
 inherits its imports: a tool alone, or a run of row tools whose cores
 ``compose`` chains as generators in one fork, each reporting its errors as
-it would alone (``run_segment``).  A tool started alone (``python -m meterpipe <tool>``) imports
-this module and its own, so they stay deliberately light to import: no
-argparse, no dataclasses, no re.  The heavier standard modules a tool
+it would alone (``run_segment``).  Row tools pass rows on as lists of
+fields, so such a run splits each row once and joins it once.  A tool
+started alone (``python -m meterpipe <tool>``) imports this module and its
+own, so they stay deliberately light to import: no argparse, no
+dataclasses, no re.  The heavier standard modules a tool
 needs (tempfile, decimal) are imported on first use; in a pipeline run the
 orchestrator has imported them before it forks the tools that use them.
 """
@@ -45,6 +47,49 @@ def split_fields(line):
     if "" in fields or "\t" in line:
         return [tok for tok in line.replace("\t", " ").split(" ") if tok]
     return fields
+
+
+# --- rows as field lists ------------------------------------------------------
+#
+# The row tools' cores take and yield rows as lists of fields.  A row is
+# split once where it enters a tool, or a run of them fused in one process,
+# and joined once where it leaves.
+
+
+class Verbatim(list):
+    """A row that single spaces do not join back into the text it was read
+    as (tabs, runs of spaces, leading or trailing blanks), or that has no
+    fields: its fields, and that text, which a core that passes the row on
+    writes unchanged.  A core that rebuilds a row from fields makes a
+    plain list, which is written joined by single spaces.  An empty row is
+    a Verbatim, so that a number put in front of it keeps its space, as
+    ``group-number`` writes ``1 `` for it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        super().__init__(split_fields(text))
+        self.text = text
+
+    def __radd__(self, head):
+        """``head + row``: fields put in front, as group-number numbers a
+        row, join to the row's text with single spaces, so the text after
+        them stays as it was read."""
+        return Verbatim(" ".join(head) + " " + self.text)
+
+
+def split_rows(lines):
+    """The entry split: each text row as its list of fields, a Verbatim
+    when single spaces do not join the fields back into the row."""
+    for line in lines:
+        fields = line.split(" ")
+        yield Verbatim(line) if "" in fields or "\t" in line else fields
+
+
+def join_rows(rows):
+    """The exit join: each row of fields as the text it is written as."""
+    for row in rows:
+        yield " ".join(row) if row.__class__ is list else row.text
 
 
 def _is_digits(text):
@@ -239,18 +284,24 @@ def open_input(path):
 
 def input_rows(path):
     """The rows of a named file, or of stdin for ``-``.  The file is opened
-    at once, so a missing input fails before any output is opened.  While
-    ``compose`` builds a core, ``-`` is the rows it was given."""
-    if _composing is not None:
-        return _composing.stdin(path)
+    at once, so a missing input fails before any output is opened."""
     return file_rows(open_input(path))
 
 
-def stdin_rows():
-    """The rows of stdin, as ``input_rows("-")`` gives them, but fd 0 is
+def input_fields(path):
+    """The rows of ``input_rows(path)``, each split into its fields
+    (``split_rows``).  While ``compose`` builds a core, ``-`` is the rows of
+    fields it was given."""
+    if _composing is not None:
+        return _composing.stdin(path)
+    return split_rows(input_rows(path))
+
+
+def stdin_fields():
+    """The rows of stdin, as ``input_fields("-")`` gives them, but fd 0 is
     opened when the first row is asked for: a core composed in one process
     reads the stdin of the fork that runs it."""
-    return chain.from_iterable(_stdin_blocks())
+    return split_rows(chain.from_iterable(_stdin_blocks()))
 
 
 def _stdin_blocks():
@@ -379,7 +430,7 @@ def _split_options(argv, names, usage):
     return args, opts
 
 
-def stream_tool(prog, usage, argv, rows_of, options=()):
+def stream_tool(prog, usage, argv, rows_of, options=(), fields=False):
     """Run one stream tool under the CLI contract; returns the exit code.
 
     ``argv`` defaults to ``sys.argv[1:]``.  ``-h`` or ``--help`` prints the
@@ -387,7 +438,8 @@ def stream_tool(prog, usage, argv, rows_of, options=()):
     in ``options`` is taken as ``--name v`` or ``--name=v``.  ``rows_of``
     gets the positional arguments, plus the options given as keywords, and
     returns the rows, which go to a buffered stdout flushed at the end.
-    While ``compose`` builds a core, the rows are handed to it instead.
+    A row tool's rows are lists of ``fields``, joined as they are written;
+    while ``compose`` builds its core, they are handed to it instead.
     """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in ("-h", "--help"):
@@ -395,14 +447,16 @@ def stream_tool(prog, usage, argv, rows_of, options=()):
             print(usage)
         return EXIT_OK
     if _composing is not None:
-        args, opts = _split_options(argv, options, usage)
-        _composing.core = prog, rows_of(args, **opts)
+        if fields:
+            args, opts = _split_options(argv, options, usage)
+            _composing.core = prog, rows_of(args, **opts)
         return EXIT_OK
 
     def body():
         args, opts = _split_options(argv, options, usage)
         out = text_stdout()
-        _write_rows(out, rows_of(args, **opts))
+        rows = rows_of(args, **opts)
+        _write_rows(out, join_rows(rows) if fields else rows)
 
     return run_tool(prog, body)
 
@@ -423,7 +477,7 @@ class _Composer:
     """What ``compose`` learns while a tool's main builds its core."""
 
     def __init__(self, rows):
-        self.rows = rows  # what "-" reads, until the core takes it
+        self.rows = rows  # the rows of fields "-" reads, until the core takes it
         self.core = None  # (prog, rows) from stream_tool
 
     def stdin(self, path):
@@ -437,12 +491,13 @@ _composing = None  # the _Composer while compose() runs a tool's main
 
 
 def compose(main, argv, rows):
-    """Build, but do not start, the core that ``main(argv)`` runs as a
-    stream tool, reading ``rows`` as its stdin: ``(prog, core)``, where the
-    core is the generator of the rows the tool would write.  None when the
-    command has no such core: it reads a named file, or reads stdin other
-    than through ``input_rows``, or asks for its usage, or fails to start;
-    as a process of its own, it reports that itself."""
+    """Build, but do not start, the core that ``main(argv)`` runs as a row
+    tool, reading the rows of fields ``rows`` as its stdin: ``(prog,
+    core)``, where the core is the generator of the rows of fields the tool
+    would write.  None when the command has no such core: it is not a row
+    tool, or reads a named file, or reads stdin other than through
+    ``input_fields``, or asks for its usage, or fails to start; as a
+    process of its own, it reports that itself."""
     global _composing
     _composing = composer = _Composer(rows)
     try:
@@ -459,16 +514,18 @@ def compose(main, argv, rows):
 
 def run_segment(cores, failed):
     """Run composed cores, each reading the one before it, as one tool: the
-    last one's rows go to stdout under the CLI contract, and the exit code
-    is returned.  An error is reported as the core that raised it reports
-    it as a process of its own.  That core is the innermost one whose
-    generator frame is on the traceback, so no core is wrapped and nothing
-    is spent per row; when none is, the error is a failed write, and
-    belongs to the last core, whose output it is.  ``failed`` gets that
-    core's index in ``cores`` before the error is reported."""
+    last one's rows, joined once here, go to stdout under the CLI contract,
+    and the exit code is returned.  Between the cores rows stay lists of
+    fields, split once where the first core reads them.  An error is
+    reported as the core that raised it reports it as a process of its
+    own.  That core is the innermost one whose generator frame is on the
+    traceback, so no core is wrapped and nothing is spent per row; when
+    none is, the error is a failed write, and belongs to the last core,
+    whose output it is.  ``failed`` gets that core's index in ``cores``
+    before the error is reported."""
     frames = [core.gi_frame for _, core in cores]
     try:
-        _write_rows(text_stdout(), cores[-1][1])
+        _write_rows(text_stdout(), join_rows(cores[-1][1]))
     except BaseException as exc:
         error = exc
     else:

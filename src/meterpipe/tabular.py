@@ -1,92 +1,99 @@
 """Row and column stream operators: self, delf, delr, filter-tags,
-group-number and map (the key/label/value pivot)."""
+group-number and map (the key/label/value pivot), the row tools."""
 
 from .core import (
     DataError,
     UsageError,
+    Verbatim,
     file_rows,
-    input_rows,
+    input_fields,
+    join_rows,
     open_input,
     optional_file,
     parse_fieldspec,
     resolve_field,
     scratch_file,
-    split_fields,
+    split_rows,
     stream_tool,
 )
 
 DEFAULT_TAGS = frozenset({"name", "timeStamp", "value", "ref"})
 
 
-# Each core splits a row with one line.split(" ") and calls split_fields
-# only when that left an empty field or the row holds a tab, the test
-# split_fields makes itself; the call would cost more than the split.
+# Each tool runs its core over rows of fields, and the function named after
+# what the tool does runs the same core over text rows: split once on the
+# way in, joined once on the way out, as the tool itself does.
+
+
+def self_rows(specs, rows):
+    """self: keep exactly the selected fields, in spec order."""
+    picks_of = {}  # positions are resolved once per row width
+    for lineno, fields in enumerate(rows, 1):
+        picks = picks_of.get(len(fields))
+        if picks is None:
+            picks = [resolve_field(s, len(fields), lineno) - 1 for s in specs]
+            picks_of[len(fields)] = picks
+        yield [fields[i] for i in picks]
 
 
 def select_fields(specs, rows):
-    """self: keep exactly the selected fields, in spec order."""
-    width = None
-    for lineno, line in enumerate(rows, 1):
-        fields = line.split(" ")
-        if "" in fields or "\t" in line:
-            fields = split_fields(line)
-        if len(fields) != width:  # positions are resolved once per row width
-            picks = [resolve_field(s, len(fields), lineno) - 1 for s in specs]
-            width = len(fields)
-        yield " ".join([fields[i] for i in picks])
+    """self_rows over text rows."""
+    return join_rows(self_rows(specs, split_rows(rows)))
+
+
+def delf_rows(specs, rows):
+    """delf: drop the selected fields, keeping the rest in original order.
+    A row left with no fields is a Verbatim, as every empty row is."""
+    keeps_of = {}
+    for lineno, fields in enumerate(rows, 1):
+        keep = keeps_of.get(len(fields))
+        if keep is None:
+            drop = {resolve_field(s, len(fields), lineno) - 1 for s in specs}
+            keep = [i for i in range(len(fields)) if i not in drop]
+            keeps_of[len(fields)] = keep
+        yield [fields[i] for i in keep] if keep else Verbatim("")
 
 
 def delete_fields(specs, rows):
-    """delf: drop the selected fields, keeping the rest in original order."""
-    width = None
-    for lineno, line in enumerate(rows, 1):
-        fields = line.split(" ")
-        if "" in fields or "\t" in line:
-            fields = split_fields(line)
-        if len(fields) != width:
-            drop = {resolve_field(s, len(fields), lineno) - 1 for s in specs}
-            keep = [i for i in range(len(fields)) if i not in drop]
-            width = len(fields)
-        yield " ".join([fields[i] for i in keep])
+    """delf_rows over text rows."""
+    return join_rows(delf_rows(specs, split_rows(rows)))
 
 
-def delete_rows(spec, literal, rows):
+def delr_rows(spec, literal, rows):
     """delr: drop rows whose selected field equals the literal exactly.
 
     Rows too short to resolve the spec cannot match and are kept.
     """
     index = spec - 1 if spec > 0 else spec  # NF-k is already a Python index
-    for line in rows:
-        fields = line.split(" ")
-        if "" in fields or "\t" in line:
-            fields = split_fields(line)
+    for fields in rows:
         try:
             if fields[index] == literal:
                 continue
         except IndexError:
             pass
-        yield line
+        yield fields
 
 
-def _first_field(line):
-    """The first field of a row that starts with a space or a tab, or
-    whose first run of non-spaces holds one."""
-    fields = split_fields(line)
-    return fields[0] if fields else ""
+def delete_rows(spec, literal, rows):
+    """delr_rows over text rows."""
+    return join_rows(delr_rows(spec, literal, split_rows(rows)))
+
+
+def filter_tags_rows(allowed, rows):
+    """filter-tags: keep rows whose first field is in the allowed tag set."""
+    for fields in rows:
+        if fields and fields[0] in allowed:
+            yield fields
 
 
 def filter_tags(allowed, rows):
-    """Keep rows whose first field is in the allowed tag set."""
-    for line in rows:
-        tag = line.partition(" ")[0]
-        if not tag or "\t" in tag:
-            tag = _first_field(line)
-        if tag in allowed:
-            yield line
+    """filter_tags_rows over text rows."""
+    return join_rows(filter_tags_rows(allowed, split_rows(rows)))
 
 
-def group_number(rows):
-    """Number reading groups and re-emit the meter name before each reading.
+def group_number_rows(rows):
+    """group-number: number reading groups and re-emit the meter name before
+    each reading.
 
     Remembers the most recent ``name`` row; every ``timeStamp`` row is
     preceded by a fresh copy of it.  A counter that increments on each
@@ -94,45 +101,41 @@ def group_number(rows):
     and each individual reading become separately numbered groups.
     """
     count = 0
+    number = ["0"]
     remembered = None
-    for lineno, line in enumerate(rows, 1):
-        tag = line.partition(" ")[0]
-        if not tag or "\t" in tag:
-            tag = _first_field(line)
+    for lineno, fields in enumerate(rows, 1):
+        tag = fields[0] if fields else None
         if tag == "name":
-            remembered = line
+            remembered = fields
             count += 1
-            yield f"{count} {line}"
+            number = [str(count)]
         elif tag == "timeStamp":
             if remembered is None:
                 raise DataError(f"line {lineno}: reading before any meter name row")
             count += 1
-            yield f"{count} {remembered}"
-            yield f"{count} {line}"
-        else:
-            yield f"{count} {line}"
+            number = [str(count)]
+            yield number + remembered
+        yield number + fields
 
 
-MISSING_CELL = "0"
+def group_number(rows):
+    """group_number_rows over text rows."""
+    return join_rows(group_number_rows(split_rows(rows)))
 
 
-def _parse_cell(line, lineno):
-    fields = line.split(" ")
-    if "" in fields or "\t" in line:
-        fields = split_fields(line)
-    if len(fields) < 3:
-        raise DataError(f"line {lineno}: pivot cell needs key, label and value")
-    return fields[0], fields[1], " ".join(fields[2:])
+MISSING_CELL = ["0"]
 
 
 def _cell_runs(rows, labels=None):
-    """Yield (key, {label: value}) for each run of consecutive cells that
-    share a key.  A (key, label) pair repeated within its run, or a label
-    outside ``labels`` when it is given, is a data error."""
+    """Yield (key, {label: value fields}) for each run of consecutive cells
+    that share a key.  A (key, label) pair repeated within its run, or a
+    label outside ``labels`` when it is given, is a data error."""
     key = None
     cells = {}
-    for lineno, line in enumerate(rows, 1):
-        k, label, value = _parse_cell(line, lineno)
+    for lineno, fields in enumerate(rows, 1):
+        if len(fields) < 3:
+            raise DataError(f"line {lineno}: pivot cell needs key, label and value")
+        k, label = fields[0], fields[1]
         if k != key:
             if key is not None:
                 yield key, cells
@@ -142,38 +145,42 @@ def _cell_runs(rows, labels=None):
             raise DataError(f"line {lineno}: duplicate cell ({k}, {label})")
         if labels is not None and label not in labels:
             raise DataError(f"line {lineno}: label {label!r} is not in --labels")
-        cells[label] = value
+        cells[label] = fields[2:]
     if key is not None:
         yield key, cells
 
 
 def collect_labels(rows):
     """Pivot pass 1: the sorted union of labels, checking the cells as
-    emit_pivot does."""
+    map_rows does."""
     labels = set()
     for _, cells in _cell_runs(rows):
         labels.update(cells)
     return sorted(labels)
 
 
-def emit_pivot(rows, ordered_labels):
-    """One wide row per consecutive key run, columns in the given label
+def map_rows(rows, ordered_labels):
+    """map: one wide row per consecutive key run, columns in the given label
     order, absent cells filled with "0".  No header row.  It streams: with
     labels fixed in advance it is the whole pivot, and after collect_labels
     it is pass 2."""
     known = frozenset(ordered_labels)
     for key, cells in _cell_runs(rows, known):
-        yield _pivot_row(key, cells, ordered_labels)
+        row = [key]
+        for label in ordered_labels:
+            row += cells.get(label, MISSING_CELL)
+        yield row
 
 
-def _pivot_row(key, cells, ordered_labels):
-    return " ".join([key] + [cells.get(label, MISSING_CELL) for label in ordered_labels])
+def emit_pivot(rows, ordered_labels):
+    """map_rows over text rows."""
+    return join_rows(map_rows(split_rows(rows), ordered_labels))
 
 
 def pivot(cell_rows):
     """Pivot an in-memory sequence of cell rows (both passes in one call)."""
-    cell_rows = list(cell_rows)
-    return emit_pivot(iter(cell_rows), collect_labels(iter(cell_rows)))
+    cell_rows = list(split_rows(cell_rows))
+    return join_rows(map_rows(iter(cell_rows), collect_labels(iter(cell_rows))))
 
 
 # --- CLI wrappers -----------------------------------------------------------
@@ -193,17 +200,17 @@ def _spec_tool_main(prog, transform, argv):
                 break
         if not specs:
             raise UsageError(f"at least one field spec (N, NF or NF-k) is required\n{usage}")
-        return transform(specs, input_rows(optional_file(args[len(specs) :], usage)))
+        return transform(specs, input_fields(optional_file(args[len(specs) :], usage)))
 
-    return stream_tool(prog, usage, argv, rows)
+    return stream_tool(prog, usage, argv, rows, fields=True)
 
 
 def self_main(argv=None):
-    return _spec_tool_main("self", select_fields, argv)
+    return _spec_tool_main("self", self_rows, argv)
 
 
 def delf_main(argv=None):
-    return _spec_tool_main("delf", delete_fields, argv)
+    return _spec_tool_main("delf", delf_rows, argv)
 
 
 def delr_main(argv=None):
@@ -213,26 +220,26 @@ def delr_main(argv=None):
         if len(args) < 2:
             raise UsageError(usage)
         spec = parse_fieldspec(args[0])
-        return delete_rows(spec, args[1], input_rows(optional_file(args[2:], usage)))
+        return delr_rows(spec, args[1], input_fields(optional_file(args[2:], usage)))
 
-    return stream_tool("delr", usage, argv, rows)
+    return stream_tool("delr", usage, argv, rows, fields=True)
 
 
 def _file_tool_main(prog, transform, argv):
     usage = f"usage: {prog} [file]"
 
     def rows(args):
-        return transform(input_rows(optional_file(args, usage)))
+        return transform(input_fields(optional_file(args, usage)))
 
-    return stream_tool(prog, usage, argv, rows)
+    return stream_tool(prog, usage, argv, rows, fields=True)
 
 
 def filter_tags_main(argv=None):
-    return _file_tool_main("filter-tags", lambda rows: filter_tags(DEFAULT_TAGS, rows), argv)
+    return _file_tool_main("filter-tags", lambda rows: filter_tags_rows(DEFAULT_TAGS, rows), argv)
 
 
 def group_number_main(argv=None):
-    return _file_tool_main("group-number", group_number, argv)
+    return _file_tool_main("group-number", group_number_rows, argv)
 
 
 def map_main(argv=None):
@@ -247,9 +254,9 @@ def map_main(argv=None):
         if labels is None:
             return _pivot_file(path)
         labels = _parse_labels(labels)
-        return emit_pivot(input_rows(path), labels)
+        return map_rows(input_fields(path), labels)
 
-    return stream_tool("map", usage, argv, rows, options=("labels",))
+    return stream_tool("map", usage, argv, rows, options=("labels",), fields=True)
 
 
 def _parse_labels(text):
@@ -270,13 +277,14 @@ def _pivot_file(path):
     # pipe), is spooled to a scratch file first.
     with _seekable_input(path) as f:
         labels = collect_labels(_rows_from_start(f))
-        yield from emit_pivot(_rows_from_start(f), labels)
+        yield from map_rows(_rows_from_start(f), labels)
 
 
 def _rows_from_start(f):
-    """One pass over the rows of ``f``; ``f`` stays open for the next."""
+    """One pass over the rows of fields of ``f``; ``f`` stays open for the
+    next."""
     f.seek(0)
-    return file_rows(open(f.fileno(), "rb", buffering=0, closefd=False))
+    return split_rows(file_rows(open(f.fileno(), "rb", buffering=0, closefd=False)))
 
 
 def _seekable_input(path):

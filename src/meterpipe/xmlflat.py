@@ -3,8 +3,9 @@
 For every element whose root path matches the requested absolute path,
 each text-only descendant element becomes one row (path components then
 the text) and each attribute becomes one row (path components including
-the owning element, then the attribute name and value).  Rows come out
-in document order.
+the owning element, then the attribute name and value).  Each CR or LF in
+a text or an attribute value becomes a space, so that one row holds it.
+Rows come out in document order.
 
 Each named file is parsed on its own, in order, and an error names it.
 Stdin may hold any number of well-formed documents back to back, as
@@ -86,7 +87,10 @@ class _DocFlattener:
             prefix = " ".join(names)
             emit = self.emit
             for i in range(0, len(attrs), 2):
-                emit(f"{prefix} {attrs[i]} {attrs[i + 1]}")
+                value = attrs[i + 1]
+                if "\n" in value or "\r" in value:  # as in leaf text
+                    value = value.replace("\r", " ").replace("\n", " ")
+                emit(f"{prefix} {attrs[i]} {value}")
 
     def _chars(self, data):
         if self.match_depth is not None and self.leaf:

@@ -234,6 +234,28 @@ class TestFixedColumns:
         assert read_lines(config.valid_file) == []
 
 
+def test_a_line_break_in_an_attribute_value_parses_as_a_space(tmp_path):
+    # xmldir makes each CR and LF of an attribute value a space, as it does
+    # in leaf text, so a ref that ends in &#10; keeps its reading in one row.
+    plain = tmp_path / "plain"
+    generate_corpus(GeneratorConfig(file_count=2, meters=1, seed=1, out_dir=str(plain),
+                                    readings_per_file=3, invalid_ratio=0.0))
+    edited = tmp_path / "edited"
+    shutil.copytree(plain, edited)
+    first = sorted(edited.glob("*.xml"))[0]
+    first.write_text(re.sub(r'ref="([^"]*)"', r'ref="\1&#10;"', first.read_text(), count=1))
+    outputs = []
+    for readings in (plain, edited):
+        work = tmp_path / f"{readings.name}-run"
+        work.mkdir()
+        cfg = write_config(work, readings, readings / "READING_TYPE_CONVERTER")
+        assert pipeline.main(["run", "--config", cfg]) == 0
+        outputs.append({p.relative_to(work): p.read_bytes()
+                        for p in work.rglob("*") if p.is_file() and p.name != "cfg"})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 3  # the valid, invalid and aggregate files
+
+
 class TestStageErrors:
     def test_empty_directory_is_a_data_error(self, tmp_path, sample_dir):
         _, master = sample_dir

@@ -1,8 +1,10 @@
-"""Each operator core splits a row with one ``line.split(" ")`` and resolves
-field positions once per row width.  These tests hold each core to a
-reference that splits every row with ``split_fields`` and resolves every
-field on every row, as the cores did before: the same output rows, and the
-same DataError message on a bad row."""
+"""Each row tool's core takes rows split once on entry (``split_rows``, one
+``line.split(" ")`` for a row of single spaces) and resolves field
+positions once per row width; cjoin1's and msort's cores split a row with
+one ``line.split(" ")``.  These tests hold each core, through its text
+function, to a reference that splits every row with ``split_fields`` and
+resolves every field on every row, as the cores did before: the same
+output rows, and the same DataError message on a bad row."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st

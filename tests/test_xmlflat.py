@@ -18,6 +18,7 @@ def flatten_oracle(doc_bytes, path):
 
     def emit(elem, elem_path):
         for name, value in elem.attrib.items():
+            value = value.replace("\r", " ").replace("\n", " ")
             rows.append(" ".join(elem_path) + f" {name} {value}")
         children = list(elem)
         if children:
@@ -118,6 +119,12 @@ class TestLeafRules:
     def test_newlines_in_text_become_spaces(self):
         doc = b"<A><B><t>line1\nline2</t></B></A>"
         assert flatten_bytes(doc, "/A/B") == ["A B t line1 line2"]
+
+    def test_line_breaks_in_attribute_values_become_spaces(self):
+        # Literal line breaks in a value are normalized by the parser;
+        # character references reach the flattener as CR and LF.
+        doc = b'<A><B ref="a&#10;b&#13;&#10;c&#13;" n="x\ny"><t k="&#10;">x</t></B></A>'
+        assert flatten_bytes(doc, "/A/B") == ["A B ref a b  c ", "A B n x y", "A B t k  ", "A B t x"]
 
     def test_mixed_content_emits_no_text_row(self):
         doc = b"<A><B>stray<t>x</t>tail</B></A>"
