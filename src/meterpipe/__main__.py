@@ -2,9 +2,9 @@
 
 Lets a shell and the benchmark harness start any tool without relying on
 installed console scripts being on PATH.  ``fork_stage`` starts the tools
-of one pipeline stage as forks of the orchestrator, which build them
-through the same table: a lone tool runs its main, and a run of row tools
-chains their cores as generators in one fork.
+of one pipeline stage as forks of the orchestrator: a lone tool runs its
+main, and a run of row tools chains their cores, built from the row tools'
+declarations (``tabular.ROW_TOOLS``), as generators in one fork.
 """
 
 import gc
@@ -14,7 +14,7 @@ import sys
 from functools import partial
 from itertools import accumulate, groupby
 
-from .core import compose, run_segment, stdin_fields
+from .core import run_segment, stdin_fields
 
 _TOOLS = {
     "xmldir": ("meterpipe.xmlflat", "main"),
@@ -30,13 +30,6 @@ _TOOLS = {
     "pipeline": ("meterpipe.pipeline", "main"),
     "bench": ("meterpipe.bench", "main"),
 }
-
-# The row tools, whose runs in a stage fork_stage fuses: each passes its
-# rows on as it reads them, holding at most one key's cells (map), so a run
-# of them chained as generators keeps the stage's overlap, with no pipe
-# between them.  map fuses only with --labels, in one pass; other tools
-# keep a process of their own.
-_ROW_TOOLS = frozenset({"self", "delf", "delr", "filter-tags", "group-number", "map"})
 
 # The standard modules a tool imports on first use, on its normal path: sm2
 # sums through core.exact_context (decimal).  fork_stage imports them just
@@ -121,24 +114,23 @@ def fork_stage(commands, out_path, pids):
 def _segments(commands):
     """The stage's commands grouped into the children that run them: a list
     of (argvs, cores), where ``cores`` chains the commands ``argvs`` as
-    generators (``core.compose``), or is None for one command run alone.
+    generators (``tabular.segment_core``), or is None for one command run
+    alone.
 
     The first command runs alone: it reads the stage's files, and its
     process works beside the rest.  After it, each maximal run of row
-    tools whose cores compose, each reading stdin alone, shares one child.
-    Every other command, and a run of one, runs alone.  Composing a core
-    parses its command and reads nothing."""
+    tools that each read stdin alone shares one child.  Every other
+    command, and a run of one, runs alone.  Building a core parses its
+    command and reads nothing."""
+    from .tabular import segment_core  # the orchestrator has imported it
+
     cores = [None]  # each command's core, chained to the one before it
     for argv in commands[1:]:
-        core = None
-        if argv[0] in _ROW_TOOLS:
-            upstream = cores[-1][1] if cores[-1] else stdin_fields()
-            core = compose(_tool(argv[0]), argv[1:], upstream)
-        cores.append(core)
+        cores.append(segment_core(argv, cores[-1][1] if cores[-1] else stdin_fields()))
     segments = []
-    for composed, run in groupby(zip(commands, cores), key=lambda pair: pair[1] is not None):
+    for fused, run in groupby(zip(commands, cores), key=lambda pair: pair[1] is not None):
         run = list(run)
-        if composed and len(run) > 1:
+        if fused and len(run) > 1:
             segments.append(([argv for argv, _ in run], [core for _, core in run]))
         else:
             segments += (([argv], None) for argv, _ in run)

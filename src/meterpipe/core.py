@@ -5,15 +5,17 @@ files or stdin, writes rows to stdout and diagnostics to stderr, and
 exits 0 on success, 1 on usage errors, 2 on data errors.
 
 In a pipeline run every tool runs in a fork of the orchestrator and
-inherits its imports: a tool alone, or a run of row tools whose cores
-``compose`` chains as generators in one fork, each reporting its errors as
-it would alone (``run_segment``).  Row tools pass rows on as lists of
-fields, so such a run splits each row once and joins it once.  A tool
-started alone (``python -m meterpipe <tool>``) imports this module and its
-own, so they stay deliberately light to import: no argparse, no
-dataclasses, no re.  The heavier standard modules a tool
-needs (tempfile, decimal) are imported on first use; in a pipeline run the
-orchestrator has imported them before it forks the tools that use them.
+inherits its imports: a tool alone, or a run of row tools chained as
+generators in one fork, each reporting its errors as it would alone
+(``run_segment``).  Each row tool is declared once, in
+``tabular.ROW_TOOLS``: its CLI and such a run both build its core from
+there.  Row tools pass rows on as lists of fields, so such a run splits
+each row once and joins it once.  A tool started alone (``python -m
+meterpipe <tool>``) imports this module and its own, so they stay
+deliberately light to import: no argparse, no dataclasses, no re.  The
+heavier standard modules a tool needs (tempfile, decimal) are imported on
+first use; in a pipeline run the orchestrator has imported them before it
+forks the tools that use them.
 """
 
 import codecs
@@ -290,16 +292,13 @@ def input_rows(path):
 
 def input_fields(path):
     """The rows of ``input_rows(path)``, each split into its fields
-    (``split_rows``).  While ``compose`` builds a core, ``-`` is the rows of
-    fields it was given."""
-    if _composing is not None:
-        return _composing.stdin(path)
+    (``split_rows``)."""
     return split_rows(input_rows(path))
 
 
 def stdin_fields():
     """The rows of stdin, as ``input_fields("-")`` gives them, but fd 0 is
-    opened when the first row is asked for: a core composed in one process
+    opened when the first row is asked for: a core chained in one process
     reads the stdin of the fork that runs it."""
     return split_rows(chain.from_iterable(_stdin_blocks()))
 
@@ -374,7 +373,7 @@ def run_tool(prog, body):
     try:
         body()
     except (UsageError, DataError) as exc:
-        _diagnose(f"{prog}: {exc}")
+        diagnose(f"{prog}: {exc}")
         return exc.exit_code
     except OSError as exc:
         # Downstream closed early (EPIPE), or a write to stdout or a spool
@@ -386,12 +385,12 @@ def run_tool(prog, body):
             pass
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK  # die quietly like any pipeline filter
-        _diagnose(f"{prog}: {exc.filename or 'cannot write'}: {exc.strerror}")
+        diagnose(f"{prog}: {exc.filename or 'cannot write'}: {exc.strerror}")
         return EXIT_DATA
     return EXIT_OK
 
 
-def _diagnose(line):
+def diagnose(line):
     """Write a diagnostic line to stderr.  If stderr cannot take it (fd 2
     is closed), the line is dropped and the exit code alone tells."""
     try:
@@ -409,7 +408,7 @@ def optional_file(args, usage):
     return args[0] if args else "-"
 
 
-def _split_options(argv, names, usage):
+def split_options(argv, names, usage):
     """Separate the named ``--name v`` / ``--name=v`` options from the
     positional arguments.  An option given twice is a UsageError naming
     it, so neither value is silently dropped."""
@@ -430,35 +429,32 @@ def _split_options(argv, names, usage):
     return args, opts
 
 
-def stream_tool(prog, usage, argv, rows_of, options=(), fields=False):
+def stream_tool(prog, usage, argv, rows_of, options=()):
     """Run one stream tool under the CLI contract; returns the exit code.
 
     ``argv`` defaults to ``sys.argv[1:]``.  ``-h`` or ``--help`` prints the
-    usage only as the first argument; anywhere else it is data.  Each name
-    in ``options`` is taken as ``--name v`` or ``--name=v``.  ``rows_of``
-    gets the positional arguments, plus the options given as keywords, and
-    returns the rows, which go to a buffered stdout flushed at the end.
-    A row tool's rows are lists of ``fields``, joined as they are written;
-    while ``compose`` builds its core, they are handed to it instead.
+    usage only as the first argument (``asks_usage``); anywhere else it is
+    data.  Each name in ``options`` is taken as ``--name v`` or
+    ``--name=v``.  ``rows_of`` gets the positional arguments, plus the
+    options given as keywords, and returns the text rows, which go to a
+    buffered stdout flushed at the end.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in ("-h", "--help"):
-        if _composing is None:
-            print(usage)
-        return EXIT_OK
-    if _composing is not None:
-        if fields:
-            args, opts = _split_options(argv, options, usage)
-            _composing.core = prog, rows_of(args, **opts)
+    if asks_usage(argv):
+        print(usage)
         return EXIT_OK
 
     def body():
-        args, opts = _split_options(argv, options, usage)
+        args, opts = split_options(argv, options, usage)
         out = text_stdout()
-        rows = rows_of(args, **opts)
-        _write_rows(out, join_rows(rows) if fields else rows)
+        _write_rows(out, rows_of(args, **opts))
 
     return run_tool(prog, body)
+
+
+def asks_usage(argv):
+    """True when the first argument is ``-h`` or ``--help``."""
+    return bool(argv) and argv[0] in ("-h", "--help")
 
 
 def _write_rows(out, rows):
@@ -470,50 +466,11 @@ def _write_rows(out, rows):
         out.flush()
 
 
-# --- row tools composed in one process ----------------------------------------
-
-
-class _Composer:
-    """What ``compose`` learns while a tool's main builds its core."""
-
-    def __init__(self, rows):
-        self.rows = rows  # the rows of fields "-" reads, until the core takes it
-        self.core = None  # (prog, rows) from stream_tool
-
-    def stdin(self, path):
-        if path != "-" or self.rows is None:  # a named file, or "-" twice
-            raise UsageError(f"cannot compose a core that reads {path}")
-        rows, self.rows = self.rows, None
-        return rows
-
-
-_composing = None  # the _Composer while compose() runs a tool's main
-
-
-def compose(main, argv, rows):
-    """Build, but do not start, the core that ``main(argv)`` runs as a row
-    tool, reading the rows of fields ``rows`` as its stdin: ``(prog,
-    core)``, where the core is the generator of the rows of fields the tool
-    would write.  None when the command has no such core: it is not a row
-    tool, or reads a named file, or reads stdin other than through
-    ``input_fields``, or asks for its usage, or fails to start; as a
-    process of its own, it reports that itself."""
-    global _composing
-    _composing = composer = _Composer(rows)
-    try:
-        main(argv)
-    except Exception:
-        return None
-    finally:
-        _composing = None
-    prog, core = composer.core or (None, None)
-    if composer.rows is not None or getattr(core, "gi_frame", None) is None:
-        return None
-    return prog, core
+# --- row tools chained in one process -----------------------------------------
 
 
 def run_segment(cores, failed):
-    """Run composed cores, each reading the one before it, as one tool: the
+    """Run chained cores, each reading the one before it, as one tool: the
     last one's rows, joined once here, go to stdout under the CLI contract,
     and the exit code is returned.  Between the cores rows stay lists of
     fields, split once where the first core reads them.  An error is

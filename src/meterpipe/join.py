@@ -5,11 +5,10 @@ stdout; non-matching rows pass through verbatim to a reject target (a file
 path or an inherited file descriptor, mirroring shell ``3>`` redirection).
 """
 
-import sys
-
 from .core import (
     DataError,
     UsageError,
+    diagnose,
     input_rows,
     open_text,
     optional_file,
@@ -99,11 +98,7 @@ def _split_matches(joined, reject):
         if reject is not None:
             reject.close()
     if dropped:
-        print(
-            f"cjoin1: warning: {dropped} unmatched row(s) discarded "
-            "(no --reject target)",
-            file=sys.stderr,
-        )
+        diagnose(f"cjoin1: warning: {dropped} unmatched row(s) discarded (no --reject target)")
 
 
 def main(argv=None):

@@ -5,6 +5,7 @@ from .core import (
     DataError,
     UsageError,
     Verbatim,
+    asks_usage,
     file_rows,
     input_fields,
     join_rows,
@@ -13,6 +14,7 @@ from .core import (
     parse_fieldspec,
     resolve_field,
     scratch_file,
+    split_options,
     split_rows,
     stream_tool,
 )
@@ -183,13 +185,55 @@ def pivot(cell_rows):
     return join_rows(map_rows(iter(cell_rows), collect_labels(iter(cell_rows))))
 
 
-# --- CLI wrappers -----------------------------------------------------------
+# --- the row tools, declared once --------------------------------------------
 
 
-def _spec_tool_main(prog, transform, argv):
+class RowTool:
+    """A row tool, declared once for its CLI and for a fused segment: its
+    prog name, usage and options, and ``build(args, **opts)``, which parses
+    its arguments and returns ``(path, core)``.  ``path`` is the input it
+    reads, ``-`` for stdin; ``core`` is a function of that input's rows of
+    fields that returns the generator of the rows of fields it writes.  A
+    tool that opens its input itself has the path None, and a core that
+    takes no rows; it never fuses."""
+
+    def __init__(self, prog, usage, build, options=()):
+        self.prog, self.usage, self.build, self.options = prog, usage, build, options
+
+    def main(self, argv=None):
+        """The tool as a process of its own: its core over its input's rows
+        of fields, each row joined as it is written."""
+
+        def rows(args, **opts):
+            path, core = self.build(args, **opts)
+            return join_rows(core(None if path is None else input_fields(path)))
+
+        return stream_tool(self.prog, self.usage, argv, rows, self.options)
+
+
+def segment_core(argv, rows):
+    """``(prog, core)`` for the command ``argv`` in a fused segment, its core
+    started on the rows of fields ``rows`` as its stdin; None when the
+    command is no row tool, reads other than stdin, asks for its usage, or
+    fails to start.  As a process of its own, it reports that itself.
+    Building a core parses the command and reads nothing."""
+    tool = ROW_TOOLS.get(argv[0])
+    if tool is None or asks_usage(argv[1:]):
+        return None
+    try:
+        args, opts = split_options(argv[1:], tool.options, tool.usage)
+        path, core = tool.build(args, **opts)
+    except UsageError:
+        return None
+    return (tool.prog, core(rows)) if path == "-" else None
+
+
+def _spec_tool(prog, core):
+    """self and delf: field specs, then an optional file; ``core(specs,
+    rows)``."""
     usage = f"usage: {prog} <spec>... [file]"
 
-    def rows(args):
+    def build(args):
         specs = []
         for arg in args:  # leading field specs, then an optional file
             try:
@@ -200,63 +244,65 @@ def _spec_tool_main(prog, transform, argv):
                 break
         if not specs:
             raise UsageError(f"at least one field spec (N, NF or NF-k) is required\n{usage}")
-        return transform(specs, input_fields(optional_file(args[len(specs) :], usage)))
+        return optional_file(args[len(specs) :], usage), lambda rows: core(specs, rows)
 
-    return stream_tool(prog, usage, argv, rows, fields=True)
-
-
-def self_main(argv=None):
-    return _spec_tool_main("self", self_rows, argv)
+    return RowTool(prog, usage, build)
 
 
-def delf_main(argv=None):
-    return _spec_tool_main("delf", delf_rows, argv)
-
-
-def delr_main(argv=None):
-    usage = "usage: delr <spec> <literal> [file]"
-
-    def rows(args):
-        if len(args) < 2:
-            raise UsageError(usage)
-        spec = parse_fieldspec(args[0])
-        return delr_rows(spec, args[1], input_fields(optional_file(args[2:], usage)))
-
-    return stream_tool("delr", usage, argv, rows, fields=True)
-
-
-def _file_tool_main(prog, transform, argv):
+def _file_tool(prog, core):
+    """filter-tags and group-number: an optional file."""
     usage = f"usage: {prog} [file]"
-
-    def rows(args):
-        return transform(input_fields(optional_file(args, usage)))
-
-    return stream_tool(prog, usage, argv, rows, fields=True)
+    return RowTool(prog, usage, lambda args: (optional_file(args, usage), core))
 
 
-def filter_tags_main(argv=None):
-    return _file_tool_main("filter-tags", lambda rows: filter_tags_rows(DEFAULT_TAGS, rows), argv)
+_DELR_USAGE = "usage: delr <spec> <literal> [file]"
 
 
-def group_number_main(argv=None):
-    return _file_tool_main("group-number", group_number_rows, argv)
+def _build_delr(args):
+    if len(args) < 2:
+        raise UsageError(_DELR_USAGE)
+    spec, literal = parse_fieldspec(args[0]), args[1]
+    return optional_file(args[2:], _DELR_USAGE), lambda rows: delr_rows(spec, literal, rows)
 
 
-def map_main(argv=None):
-    usage = "usage: map num=1 [--labels a,b,...] [file]"
+_MAP_USAGE = "usage: map num=1 [--labels a,b,...] [file]"
 
-    def rows(args, labels=None):
-        if not args or not args[0].startswith("num="):
-            raise UsageError(f"expected num=<k>\n{usage}")
-        if args[0] != "num=1":
-            raise UsageError("only num=1 is supported")
-        path = optional_file(args[1:], usage)
-        if labels is None:
-            return _pivot_file(path)
-        labels = _parse_labels(labels)
-        return map_rows(input_fields(path), labels)
 
-    return stream_tool("map", usage, argv, rows, options=("labels",), fields=True)
+def _build_map(args, labels=None):
+    if not args or not args[0].startswith("num="):
+        raise UsageError(f"expected num=<k>\n{_MAP_USAGE}")
+    if args[0] != "num=1":
+        raise UsageError("only num=1 is supported")
+    path = optional_file(args[1:], _MAP_USAGE)
+    if labels is None:
+        return None, lambda _: _pivot_file(path)
+    labels = _parse_labels(labels)
+    return path, lambda rows: map_rows(rows, labels)
+
+
+# The row tools by prog name: the ones a stage fuses.  Each passes its rows
+# on as it reads them, holding at most one key's cells (map), so a run of
+# them chained as generators keeps the stage's overlap.  Each core is looked
+# up by name as it starts, not bound here, so one replaced at run time is
+# the one that runs.
+ROW_TOOLS = {
+    tool.prog: tool
+    for tool in (
+        _spec_tool("self", lambda specs, rows: self_rows(specs, rows)),
+        _spec_tool("delf", lambda specs, rows: delf_rows(specs, rows)),
+        RowTool("delr", _DELR_USAGE, _build_delr),
+        _file_tool("filter-tags", lambda rows: filter_tags_rows(DEFAULT_TAGS, rows)),
+        _file_tool("group-number", lambda rows: group_number_rows(rows)),
+        RowTool("map", _MAP_USAGE, _build_map, options=("labels",)),
+    )
+}
+
+self_main = ROW_TOOLS["self"].main
+delf_main = ROW_TOOLS["delf"].main
+delr_main = ROW_TOOLS["delr"].main
+filter_tags_main = ROW_TOOLS["filter-tags"].main
+group_number_main = ROW_TOOLS["group-number"].main
+map_main = ROW_TOOLS["map"].main
 
 
 def _parse_labels(text):

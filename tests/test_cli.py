@@ -456,6 +456,10 @@ LEADING_ARGS = {
     "sm2": ["1", "1", "2", "2"],
 }
 
+# A row that cjoin1 discards with a warning, then one it joins.
+UNMATCHED_THEN_MATCHED = f"a unknown b\na {MASTER_ROWS[0].split()[0]} c\n".encode()
+MATCHED = f"a {MASTER_ROWS[0]} c\n".encode()
+
 
 class TestStreamToolContract:
     @pytest.fixture
@@ -544,6 +548,25 @@ class TestStreamToolContract:
         proc = run_tool("self", *args, stdin=b"a b\n", extra=dict(preexec_fn=lambda: os.close(2)))
         assert proc.returncode == code
         assert proc.stdout == b""
+
+    def test_a_closed_stderr_keeps_cjoin1_warning_from_failing_it(self, leading):
+        # The unmatched row's warning cannot be written; the matched row and
+        # the exit code are as with stderr open.
+        proc = run_tool("cjoin1", *leading("cjoin1"), stdin=UNMATCHED_THEN_MATCHED,
+                        extra=dict(preexec_fn=lambda: os.close(2)))
+        assert (proc.returncode, proc.stdout) == (0, MATCHED)
+
+    def test_no_stderr_keeps_cjoin1_warning_out_of_stdout(self, leading):
+        # An embedding caller with sys.stderr set to None.
+        code = (
+            "import sys\n"
+            "from meterpipe.join import main\n"
+            "sys.stderr = None\n"
+            f"sys.exit(main({leading('cjoin1')!r}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], input=UNMATCHED_THEN_MATCHED,
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout) == (0, MATCHED)
 
     @pytest.mark.parametrize("tool", sorted(LEADING_ARGS))
     def test_a_closed_stdout_is_one_cannot_write_line(self, tool, leading, tmp_path):

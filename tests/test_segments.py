@@ -153,11 +153,11 @@ class TestSegmenting:
     def test_composing_a_core_reads_and_writes_nothing(self, tmp_path, capfd):
         upstream = iter([["a", "b"]])
         missing = str(tmp_path / "missing")
-        assert core.compose(tabular.self_main, ["1", missing], upstream) is None
-        assert core.compose(tabular.self_main, ["--help"], upstream) is None
-        assert core.compose(tabular.map_main, ["num=1"], upstream) is None
-        assert core.compose(tabular.self_main, ["0"], upstream) is None
-        prog, rows = core.compose(tabular.self_main, ["2"], upstream)
+        assert tabular.segment_core(("self", "1", missing), upstream) is None
+        assert tabular.segment_core(("self", "--help"), upstream) is None
+        assert tabular.segment_core(("map", "num=1"), upstream) is None
+        assert tabular.segment_core(("self", "0"), upstream) is None
+        prog, rows = tabular.segment_core(("self", "2"), upstream)
         assert prog == "self"
         assert capfd.readouterr() == ("", "")
         assert list(rows) == [["b"]]
